@@ -265,11 +265,11 @@ func (cfg config) public() map[string]any {
 // count and cache capacity, returning the measured result plus the metrics
 // report.
 func replay(c curve.Curve, recs []store.Record, boxes []query.Box, cfg config, shards, cache int) (replayResult, string, error) {
-	svc, err := service.New(c, recs, service.Config{
-		Shards:    shards,
-		Workers:   cfg.workers,
-		CacheSize: cache,
-	})
+	opts := []service.Option{service.WithShards(shards), service.WithCacheSize(cache)}
+	if cfg.workers > 0 {
+		opts = append(opts, service.WithWorkers(cfg.workers))
+	}
+	svc, err := service.New(c, recs, opts...)
 	if err != nil {
 		return replayResult{}, "", err
 	}

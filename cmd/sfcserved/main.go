@@ -190,21 +190,14 @@ func run(ctx context.Context, cfg config, ready func(addr string), w io.Writer) 
 		svc.Close()
 		return err
 	}
+	var wl net.Listener
 	var wireInfo string
-	serveErr := make(chan error, 1)
 	if cfg.wireAddr != "" {
-		wl, err := net.Listen("tcp", cfg.wireAddr)
-		if err != nil {
+		if wl, err = net.Listen("tcp", cfg.wireAddr); err != nil {
 			l.Close()
 			svc.Close()
 			return err
 		}
-		srv.AdvertiseWire(wl.Addr().String())
-		go func() {
-			if err := srv.ServeWire(wl); err != nil {
-				serveErr <- fmt.Errorf("wire: %w", err)
-			}
-		}()
 		wireInfo = " wire=" + wl.Addr().String()
 	}
 	mode := "in-memory"
@@ -216,25 +209,7 @@ func run(ctx context.Context, cfg config, ready func(addr string), w io.Writer) 
 	if ready != nil {
 		ready(l.Addr().String())
 	}
-
-	go func() { serveErr <- srv.Serve(l) }()
-	select {
-	case err := <-serveErr:
-		// The listener died without a signal; Drain still closes the service.
-		srv.Drain(context.Background())
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(w, "sfcserved: signal received, draining (up to %v)\n", cfg.drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-serveErr; err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	fmt.Fprintln(w, "sfcserved: drained cleanly")
-	return nil
+	return srv.Run(ctx, l, wl, cfg.drainTimeout, func(format string, args ...any) {
+		fmt.Fprintf(w, "sfcserved: "+format+"\n", args...)
+	})
 }

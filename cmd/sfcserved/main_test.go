@@ -61,7 +61,7 @@ func TestRunServesAndDrainsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Query(context.Background(), b, time.Minute)
+	resp, err := cl.QueryBox(context.Background(), b, client.WithTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRunDurableModeSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Query(context.Background(), b, time.Minute)
+	resp, err := cl.QueryBox(context.Background(), b, client.WithTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

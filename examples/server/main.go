@@ -77,9 +77,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The second argument is the per-request deadline the server
-		// propagates into its scan; the client retries 429/503 with backoff.
-		resp, err := cl.Query(ctx, b, 5*time.Second)
+		// WithTimeout is the per-request deadline the server propagates
+		// into its scan; the client retries 429/503 with backoff.
+		resp, err := cl.QueryBox(ctx, b, client.WithTimeout(5*time.Second))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -40,17 +40,16 @@ func main() {
 
 	// Four shards; shard 2's device loses a few pages, so queries over its
 	// curve segment come back degraded rather than failing.
-	svc, err := service.New(c, recs, service.Config{
-		Shards: 4,
-		ShardOptions: func(j int) []store.Option {
+	svc, err := service.New(c, recs,
+		service.WithShards(4),
+		service.WithShardStoreOptions(func(j int) []store.Option {
 			if j != 2 {
 				return nil
 			}
 			return []store.Option{store.WithDeviceWrapper(func(dev store.PageDevice) (store.PageDevice, error) {
 				return faultio.Wrap(dev, faultio.Config{Seed: 3, LostPages: []int{0, 1, 2, 3}})
 			})}
-		},
-	})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

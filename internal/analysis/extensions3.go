@@ -46,7 +46,7 @@ func ExtIO(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := store.Bulkload(c, recs, store.Config{PageSize: 32, Fanout: 16})
+		st, err := store.Bulkload(c, recs, store.WithPageSize(32), store.WithFanout(16))
 		if err != nil {
 			return nil, err
 		}

@@ -42,7 +42,7 @@ func TestGoldenDAvgReferenceValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		avg, max := core.NNStretch(c, 0)
+		avg, max := core.DAvg(c, 0), core.DMax(c, 0)
 		if math.Abs(avg-tc.davg) > 1e-8 {
 			t.Errorf("golden Davg(%s, d=%d, k=%d) = %.12g, want %.12g", tc.name, tc.d, tc.k, avg, tc.davg)
 		}

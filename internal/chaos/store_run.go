@@ -20,10 +20,11 @@ func storeRun(cfg Config, run int, rng *rand.Rand, rep *Report) error {
 		return err
 	}
 	recs := randomRecords(rng, u, rng.Intn(2000))
-	st, err := store.Bulkload(c, recs, store.Config{
-		PageSize: 4 << rng.Intn(4), // 4..32
-		Fanout:   2 << rng.Intn(3), // 2..16
-	})
+	geometry := []store.Option{
+		store.WithPageSize(4 << rng.Intn(4)), // 4..32
+		store.WithFanout(2 << rng.Intn(3)),   // 2..16
+	}
+	st, err := store.Bulkload(c, recs, geometry...)
 	if err != nil {
 		return err
 	}
@@ -52,22 +53,24 @@ func storeRun(cfg Config, run int, rng *rand.Rand, rep *Report) error {
 		rep.violate(run, "zero-overhead", "degraded stats %+v != strict stats %+v", st.Stats(), strictStats)
 	}
 
-	// Inject a random fault schedule.
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{
+	// The same records and geometry again, behind a random fault schedule.
+	faults := faultio.Config{
 		Seed:          rng.Int63(),
 		TransientProb: rng.Float64() * 0.4,
 		CorruptProb:   rng.Float64() * 0.3,
 		SpikeProb:     rng.Float64() * 0.2,
 		LostFrac:      rng.Float64() * 0.25,
-	})
+	}
+	var inj *faultio.Injector
+	st, err = store.Bulkload(c, recs, append(geometry, store.WithDeviceWrapper(func(dev store.PageDevice) (store.PageDevice, error) {
+		var err error
+		inj, err = faultio.Wrap(dev, faults)
+		return inj, err
+	}))...)
 	if err != nil {
 		return err
 	}
-	if err := st.SetDevice(inj); err != nil {
-		return err
-	}
 	rep.PagesLost += len(inj.Lost())
-	st.ResetStats()
 
 	for q := 0; q < cfg.QueriesPerRun; q++ {
 		b := randomBox(rng, u)

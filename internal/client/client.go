@@ -245,21 +245,6 @@ func (c *Client) QueryBoxStream(ctx context.Context, b query.Box, opts ...CallOp
 	})
 }
 
-// Query answers the box query with a positional server-side timeout.
-//
-// Deprecated: use QueryBox with WithTimeout.
-func (c *Client) Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error) {
-	return c.QueryBox(ctx, b, WithTimeout(timeout))
-}
-
-// Scan answers a raw curve-interval scan with a positional server-side
-// timeout.
-//
-// Deprecated: use ScanIntervals with WithTimeout.
-func (c *Client) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error) {
-	return c.ScanIntervals(ctx, ivs, WithTimeout(timeout))
-}
-
 // doRetry runs one logical query through the bounded retry loop: attempts
 // are issued until one succeeds, fails terminally (anything that is not a
 // *RetryableError), or the policy's budget is spent. The server's

@@ -72,7 +72,7 @@ func TestRetryThenSuccess(t *testing.T) {
 
 	c := New(ts.URL)
 	sleeps := recordedSleeps(c)
-	resp, err := c.Query(context.Background(), testBox(t), 0)
+	resp, err := c.QueryBox(context.Background(), testBox(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRetryAfterHonored(t *testing.T) {
 	rp := RetryPolicy{MaxAttempts: 4, BaseBackoff: 8 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 	c := New(ts.URL, WithRetryPolicy(rp))
 	sleeps := recordedSleeps(c)
-	if _, err := c.Query(context.Background(), testBox(t), 0); err != nil {
+	if _, err := c.QueryBox(context.Background(), testBox(t)); err != nil {
 		t.Fatal(err)
 	}
 	if len(*sleeps) != 2 {
@@ -144,7 +144,7 @@ func TestNoRetryAfterPartialBody(t *testing.T) {
 
 	c := New(ts.URL)
 	recordedSleeps(c)
-	_, err := c.Query(context.Background(), testBox(t), 0)
+	_, err := c.QueryBox(context.Background(), testBox(t))
 	if err == nil {
 		t.Fatal("truncated body accepted")
 	}
@@ -168,7 +168,7 @@ func TestNoRetryOnTerminalStatus(t *testing.T) {
 		}))
 		c := New(ts.URL)
 		recordedSleeps(c)
-		if _, err := c.Query(context.Background(), testBox(t), 0); err == nil {
+		if _, err := c.QueryBox(context.Background(), testBox(t)); err == nil {
 			t.Fatalf("status %d accepted", code)
 		}
 		if calls.Load() != 1 {
@@ -191,7 +191,7 @@ func TestAttemptsExhausted(t *testing.T) {
 
 	c := New(ts.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
 	recordedSleeps(c)
-	_, err := c.Query(context.Background(), testBox(t), 0)
+	_, err := c.QueryBox(context.Background(), testBox(t))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -213,7 +213,7 @@ func TestQueryTimeoutParameter(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := New(ts.URL)
-	if _, err := c.Query(context.Background(), testBox(t), 250*time.Millisecond); err != nil {
+	if _, err := c.QueryBox(context.Background(), testBox(t), WithTimeout(250*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if got != "250ms" {
@@ -235,7 +235,7 @@ func TestContextStopsRetryLoop(t *testing.T) {
 		cancel() // the caller gives up mid-backoff
 		return ctx.Err()
 	}
-	_, err := c.Query(ctx, testBox(t), 0)
+	_, err := c.QueryBox(ctx, testBox(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -171,16 +171,12 @@ func (t *JSONTransport) Flush(ctx context.Context, timeout time.Duration) (serve
 // postWrite runs one write attempt, classifying failures by whether the
 // request can have reached the daemon's write path: a dial-phase failure
 // or a pre-application refusal (429 shed, 503 draining — both answered
-// before the service touches the WAL) is retryable; a transport failure
+// before the backend touches the WAL) is retryable; a transport failure
 // after the request left, or a server-side deadline, is *MaybeAppliedError
-// — the WAL may already hold the write. The HTTP write endpoints take no
-// ?timeout parameter, so the requested server-side deadline is enforced
-// client-side instead.
+// — the WAL may already hold the write.
 func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server.WriteRequest, timeout time.Duration) (server.WriteResponse, error) {
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+		path += "?timeout=" + timeout.String()
 	}
 	var rd io.Reader
 	if body != nil {
@@ -198,8 +194,8 @@ func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server
 	resp, err := t.hc().Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			// The caller's deadline (or the requested timeout) ended the
-			// attempt; whether the server applied the write is unknowable.
+			// The caller's deadline ended the attempt; whether the server
+			// applied the write is unknowable.
 			return server.WriteResponse{}, maybeApplied(fmt.Errorf("client: %w", ctx.Err()))
 		}
 		if isDialError(err) {

@@ -19,40 +19,10 @@ import (
 // never consumes this node's attempts.
 type ClientNode struct {
 	cl *client.Client
-	// wcl, when set, carries the write operations instead of cl. The router
-	// daemon points it at a JSON client when the member advertises a binary
-	// listener without the write capability — an old read-only-wire daemon —
-	// so reads upgrade to the wire while writes degrade gracefully to HTTP.
-	wcl *client.Client
-}
-
-// ClientNodeOption configures NewClientNode.
-type ClientNodeOption func(*ClientNode)
-
-// WithNodeWriteClient routes the node's Put, Delete and Flush through wcl
-// while scans and probes stay on the primary client.
-func WithNodeWriteClient(wcl *client.Client) ClientNodeOption {
-	return func(n *ClientNode) { n.wcl = wcl }
 }
 
 // NewClientNode wraps cl as a cluster member handle.
-func NewClientNode(cl *client.Client, opts ...ClientNodeOption) *ClientNode {
-	n := &ClientNode{cl: cl}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(n)
-		}
-	}
-	return n
-}
-
-// writeClient returns the client carrying write operations.
-func (n *ClientNode) writeClient() *client.Client {
-	if n.wcl != nil {
-		return n.wcl
-	}
-	return n.cl
-}
+func NewClientNode(cl *client.Client) *ClientNode { return &ClientNode{cl: cl} }
 
 // Scan runs the interval scan against the daemon over the client's
 // streaming surface — incremental over the binary transport, a buffered
@@ -94,19 +64,19 @@ func (n *ClientNode) Ready(ctx context.Context) bool {
 // retry (quorum, anti-entropy), so a maybe-applied failure surfaces as-is
 // rather than risking a duplicate record.
 func (n *ClientNode) Put(ctx context.Context, rec store.Record, timeout time.Duration) error {
-	_, err := n.writeClient().Put(ctx, rec, client.WithTimeout(timeout))
+	_, err := n.cl.Put(ctx, rec, client.WithTimeout(timeout))
 	return err
 }
 
 // Delete durably removes every stored instance equal to rec.
 func (n *ClientNode) Delete(ctx context.Context, rec store.Record, timeout time.Duration) error {
-	_, err := n.writeClient().Delete(ctx, rec, client.WithTimeout(timeout))
+	_, err := n.cl.Delete(ctx, rec, client.WithTimeout(timeout))
 	return err
 }
 
 // Flush persists the daemon's memtables to on-disk runs.
 func (n *ClientNode) Flush(ctx context.Context, timeout time.Duration) error {
-	_, err := n.writeClient().Flush(ctx, client.WithTimeout(timeout))
+	_, err := n.cl.Flush(ctx, client.WithTimeout(timeout))
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/grid"
 )
@@ -143,5 +144,30 @@ func TestULPDiff(t *testing.T) {
 	}
 	if d := ulpDiff(0, 1.5); d == 0 {
 		t.Fatal("distinct values at zero distance")
+	}
+}
+
+// TestTorusWorkerSweep pins that the periodic-boundary engine's answer does
+// not depend on how many chunks the sweep is split into: at d=3 k=4 — the
+// size where plain per-chunk adds drifted up to 106 ulps apart — every
+// worker count lands within the worker-sweep budget of the sequential
+// oracle, and the integer-valued Dmax exactly on it.
+func TestTorusWorkerSweep(t *testing.T) {
+	u := grid.MustNew(3, 4)
+	for _, name := range curve.Names() {
+		c, err := curve.ByName(name, u, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refAvg, refMax := refNNStretchTorus(c)
+		for _, w := range []int{1, 2, 3, 7} {
+			nn := core.NNStretchTorusResult(c, w)
+			if d := ulpDiff(nn.DAvg, refAvg); d > ulpsWorkerSweep {
+				t.Errorf("%s workers=%d: torus Davg %.17g is %d ulps from the oracle's %.17g, budget %d", name, w, nn.DAvg, d, refAvg, ulpsWorkerSweep)
+			}
+			if nn.DMax != refMax {
+				t.Errorf("%s workers=%d: torus Dmax %.17g, oracle %.17g", name, w, nn.DMax, refMax)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ func nnStretchEngine(c curve.Curve, workers int) core.NN {
 // enumerating neighbors through the grid package's callback API rather than
 // the engine's inlined dimension loop. It accumulates with the same
 // Kahan-compensated scheme the engine specifies, so its result must agree
-// bit-for-bit with core.NNStretch at workers = 1 — any divergence convicts
+// bit-for-bit with core.NNStretchResult at workers = 1 — any divergence convicts
 // one of the two implementations.
 func refNNStretch(c curve.Curve) (davg, dmax float64) {
 	u := c.Universe()
@@ -55,7 +55,7 @@ func refNNStretch(c curve.Curve) (davg, dmax float64) {
 }
 
 // refNNStretchTorus is the sequential oracle for the periodic-boundary
-// engine, mirroring core.NNStretchTorus's plain (uncompensated) per-chunk
+// engine, mirroring core.NNStretchTorusResult's Kahan-compensated
 // accumulation over a single chunk so that workers = 1 must agree
 // bit-for-bit.
 func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
@@ -70,7 +70,7 @@ func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
 	if side > 2 {
 		deltas = append(deltas, side-1)
 	}
-	var sumAvg, sumMax float64
+	var sumAvg, sumMax, cAvg, cMax float64
 	p := u.NewPoint()
 	q := u.NewPoint()
 	for idx := uint64(0); idx < n; idx++ {
@@ -97,8 +97,15 @@ func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
 		if deg == 0 {
 			continue
 		}
-		sumAvg += float64(sum) / float64(deg)
-		sumMax += float64(max)
+		y := float64(sum)/float64(deg) - cAvg
+		t := sumAvg + y
+		cAvg = (t - sumAvg) - y
+		sumAvg = t
+
+		y = float64(max) - cMax
+		t = sumMax + y
+		cMax = (t - sumMax) - y
+		sumMax = t
 	}
 	return sumAvg / float64(n), sumMax / float64(n)
 }

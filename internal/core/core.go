@@ -81,16 +81,6 @@ func DMax(c curve.Curve, workers int) float64 {
 	return NNStretchResult(c, workers).DMax
 }
 
-// NNStretch computes Davg(π) and Dmax(π) in a single parallel sweep over
-// all cells.
-//
-// Deprecated: use NNStretchResult, which returns the same values as a
-// core.NN instead of a bare pair.
-func NNStretch(c curve.Curve, workers int) (davg, dmax float64) {
-	r := NNStretchResult(c, workers)
-	return r.DAvg, r.DMax
-}
-
 // NNStretchResult computes Davg(π) and Dmax(π) in a single parallel sweep
 // over all cells. The arithmetic (Kahan-compensated per-chunk accumulation,
 // chunk-ordered reduction) is specified exactly; the conformance suite
@@ -110,8 +100,7 @@ func NNStretchResult(c curve.Curve, workers int) NN {
 		q := u.NewPoint()
 		side := u.Side()
 		d := u.D()
-		var a nnAcc
-		var kahanAvgC, kahanMaxC float64
+		var a nnSum
 		for idx := lo; idx < hi; idx++ {
 			u.FromLinear(idx, p)
 			base := c.Index(p)
@@ -140,35 +129,50 @@ func NNStretchResult(c curve.Curve, workers int) NN {
 					q[dim] = p[dim]
 				}
 			}
-			// Kahan-compensated accumulation of both running sums.
-			y := float64(sum)/float64(deg) - kahanAvgC
-			t := a.avg + y
-			kahanAvgC = (t - a.avg) - y
-			a.avg = t
-
-			y = float64(max) - kahanMaxC
-			t = a.max + y
-			kahanMaxC = (t - a.max) - y
-			a.max = t
+			a.addCell(sum, max, deg)
 		}
-		return a
+		return a.acc()
 	}
 	if curve.HasKernel(c) {
 		partial = nnKernelPartial(c, u)
 	}
-	var sumAvg, sumMax, cAvg, cMax float64
-	for _, a := range parallel.MapRanges(n, workers, partial) {
-		y := a.avg - cAvg
-		t := sumAvg + y
-		cAvg = (t - sumAvg) - y
-		sumAvg = t
+	return reduceNN(parallel.MapRanges(n, workers, partial), n)
+}
 
-		y = a.max - cMax
-		t = sumMax + y
-		cMax = (t - sumMax) - y
-		sumMax = t
+// kahan is a Kahan-compensated running sum.
+type kahan struct{ sum, c float64 }
+
+func (k *kahan) add(x float64) {
+	y := x - k.c
+	t := k.sum + y
+	k.c = (t - k.sum) - y
+	k.sum = t
+}
+
+// nnSum accumulates one chunk of an NN sweep — the open-grid and torus
+// engines, scalar and kernelized, all fold cells through it, so the
+// arithmetic the conformance oracles mirror is written once.
+type nnSum struct{ avg, max kahan }
+
+// addCell folds one cell's integer neighbor aggregates into the chunk:
+// δavg = sum/deg and δmax = max. deg must be positive.
+func (s *nnSum) addCell(sum, max uint64, deg int) {
+	s.avg.add(float64(sum) / float64(deg))
+	s.max.add(float64(max))
+}
+
+func (s *nnSum) acc() nnAcc { return nnAcc{avg: s.avg.sum, max: s.max.sum} }
+
+// reduceNN combines the chunk totals in chunk order, compensated like the
+// chunks themselves, so the worker count moves the result by at most the
+// few ulps the conformance worker-sweep budget allows.
+func reduceNN(parts []nnAcc, n uint64) NN {
+	var avg, max kahan
+	for _, a := range parts {
+		avg.add(a.avg)
+		max.add(a.max)
 	}
-	return NN{DAvg: sumAvg / float64(n), DMax: sumMax / float64(n)}
+	return NN{DAvg: avg.sum / float64(n), DMax: max.sum / float64(n)}
 }
 
 // absDiff returns |a − b| for curve indices.

@@ -97,7 +97,7 @@ func TestNNStretchMatchesBruteForce(t *testing.T) {
 	for _, dk := range [][2]int{{1, 5}, {2, 3}, {3, 2}, {4, 1}} {
 		u := grid.MustNew(dk[0], dk[1])
 		for _, c := range testCurves(t, u) {
-			avg, max := NNStretch(c, 4)
+			avg, max := DAvg(c, 4), DMax(c, 4)
 			if want := bruteDAvg(c); math.Abs(avg-want) > 1e-9 {
 				t.Errorf("%s on %v: Davg = %v, brute %v", c.Name(), u, avg, want)
 			}
@@ -114,9 +114,9 @@ func TestNNStretchMatchesBruteForce(t *testing.T) {
 func TestNNStretchWorkerInvariance(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	z := curve.NewZ(u)
-	avg1, max1 := NNStretch(z, 1)
+	avg1, max1 := DAvg(z, 1), DMax(z, 1)
 	for _, w := range []int{2, 3, 8} {
-		avg, max := NNStretch(z, w)
+		avg, max := DAvg(z, w), DMax(z, w)
 		if avg != avg1 || max != max1 {
 			t.Fatalf("workers=%d: (%v,%v) != (%v,%v)", w, avg, max, avg1, max1)
 		}
@@ -125,7 +125,7 @@ func TestNNStretchWorkerInvariance(t *testing.T) {
 
 func TestSingleCellStretchIsZero(t *testing.T) {
 	u := grid.MustNew(3, 0)
-	avg, max := NNStretch(curve.NewZ(u), 1)
+	avg, max := DAvg(curve.NewZ(u), 1), DMax(curve.NewZ(u), 1)
 	if avg != 0 || max != 0 {
 		t.Fatalf("single cell stretch (%v, %v)", avg, max)
 	}
@@ -230,7 +230,7 @@ func TestSimpleCurveMatchesClosedForms(t *testing.T) {
 		d, k := dk[0], dk[1]
 		u := grid.MustNew(d, k)
 		s := curve.NewSimple(u)
-		avg, max := NNStretch(s, 3)
+		avg, max := DAvg(s, 3), DMax(s, 3)
 		if want := bounds.SimpleDAvgExact(d, k); math.Abs(avg-want) > 1e-9 {
 			t.Errorf("d=%d k=%d: Davg(S) = %v, closed form %v", d, k, avg, want)
 		}
@@ -246,7 +246,7 @@ func TestStretchInvariantUnderIsometries(t *testing.T) {
 	// leave them unchanged.
 	u := grid.MustNew(3, 2)
 	base := curve.NewZ(u)
-	avg0, max0 := NNStretch(base, 2)
+	avg0, max0 := DAvg(base, 2), DMax(base, 2)
 	perm, err := curve.NewAxisPermuted(base, []int{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestStretchInvariantUnderIsometries(t *testing.T) {
 		curve.NewReflected(base, 0b111),
 		curve.NewReversed(base),
 	} {
-		avg, max := NNStretch(c, 2)
+		avg, max := DAvg(c, 2), DMax(c, 2)
 		if math.Abs(avg-avg0) > 1e-9 || math.Abs(max-max0) > 1e-9 {
 			t.Errorf("%s: stretch (%v,%v) != base (%v,%v)", c.Name(), avg, max, avg0, max0)
 		}

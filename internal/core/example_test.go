@@ -17,7 +17,7 @@ func ExampleDAvg() {
 	// Output: 2.5000 2.5000
 }
 
-func ExampleNNStretch() {
+func ExampleNNStretchResult() {
 	// The Figure 1 example curve π1: Davg = 1.5, Dmax = 2.
 	u := grid.MustNew(2, 1)
 	lin := func(x, y uint32) uint64 { return u.Linear(u.MustPoint(x, y)) }
@@ -25,8 +25,8 @@ func ExampleNNStretch() {
 	if err != nil {
 		panic(err)
 	}
-	avg, max := core.NNStretch(pi1, 1)
-	fmt.Println(avg, max)
+	nn := core.NNStretchResult(pi1, 1)
+	fmt.Println(nn.DAvg, nn.DMax)
 	// Output: 1.5 2
 }
 

@@ -94,8 +94,8 @@ func cellAggregate(base uint64, row []uint64) (sum, max uint64, deg int) {
 
 // nnKernelPartial is the kernelized chunk worker behind NNStretchResult.
 // It reproduces the scalar partial's arithmetic exactly: per cell the
-// integer (sum, max, degree) over valid neighbors, then Kahan-compensated
-// accumulation of sum/degree and max in Linear cell order.
+// integer (sum, max, degree) over valid neighbors, folded through the shared
+// nnSum in Linear cell order.
 func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc {
 	d := u.D()
 	return func(lo, hi uint64) nnAcc {
@@ -105,8 +105,7 @@ func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc 
 		coords := make([]uint32, kernelBlock*d)
 		bases := make([]uint64, kernelBlock)
 		keys := make([]uint64, kernelBlock*nd)
-		var a nnAcc
-		var kahanAvgC, kahanMaxC float64
+		var a nnSum
 		for blo := lo; blo < hi; blo += kernelBlock {
 			cnt := kernelBlock
 			if rem := hi - blo; rem < kernelBlock {
@@ -116,25 +115,16 @@ func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc 
 			b.IndexBatch(coords[:cnt*d], bases[:cnt])
 			nk.NeighborKeysBlock(coords[:cnt*d], bases[:cnt], keys[:cnt*nd])
 			for j := 0; j < cnt; j++ {
-				sum, max, deg := cellAggregate(bases[j], keys[j*nd:(j+1)*nd:(j+1)*nd])
-				y := float64(sum)/float64(deg) - kahanAvgC
-				t := a.avg + y
-				kahanAvgC = (t - a.avg) - y
-				a.avg = t
-
-				y = float64(max) - kahanMaxC
-				t = a.max + y
-				kahanMaxC = (t - a.max) - y
-				a.max = t
+				a.addCell(cellAggregate(bases[j], keys[j*nd:(j+1)*nd:(j+1)*nd]))
 			}
 		}
-		return a
+		return a.acc()
 	}
 }
 
 // nnTorusKernelPartial is the kernelized chunk worker behind
-// NNStretchTorusResult; like the scalar torus partial it accumulates with
-// plain (uncompensated) adds and skips degree-zero cells.
+// NNStretchTorusResult; like the scalar torus partial it skips degree-zero
+// cells.
 func nnTorusKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc {
 	d := u.D()
 	return func(lo, hi uint64) nnAcc {
@@ -144,7 +134,7 @@ func nnTorusKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) n
 		coords := make([]uint32, kernelBlock*d)
 		bases := make([]uint64, kernelBlock)
 		keys := make([]uint64, kernelBlock*nd)
-		var a nnAcc
+		var a nnSum
 		for blo := lo; blo < hi; blo += kernelBlock {
 			cnt := kernelBlock
 			if rem := hi - blo; rem < kernelBlock {
@@ -158,11 +148,10 @@ func nnTorusKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) n
 				if deg == 0 {
 					continue
 				}
-				a.avg += float64(sum) / float64(deg)
-				a.max += float64(max)
+				a.addCell(sum, max, deg)
 			}
 		}
-		return a
+		return a.acc()
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func TestSampledNNStretchApproximatesExact(t *testing.T) {
 	u := grid.MustNew(2, 6)
 	z := curve.NewZ(u)
-	exactAvg, exactMax := NNStretch(z, 2)
+	exactAvg, exactMax := DAvg(z, 2), DMax(z, 2)
 	est, err := SampledNNStretch(z, 40000, 3)
 	if err != nil {
 		t.Fatal(err)

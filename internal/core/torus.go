@@ -36,7 +36,7 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 	partial := func(lo, hi uint64) nnAcc {
 		p := u.NewPoint()
 		q := u.NewPoint()
-		var a nnAcc
+		var a nnSum
 		for idx := lo; idx < hi; idx++ {
 			u.FromLinear(idx, p)
 			base := c.Index(p)
@@ -56,18 +56,12 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 			if deg == 0 {
 				continue
 			}
-			a.avg += float64(sum) / float64(deg)
-			a.max += float64(max)
+			a.addCell(sum, max, deg)
 		}
-		return a
+		return a.acc()
 	}
 	if curve.HasKernel(c) {
 		partial = nnTorusKernelPartial(c, u)
 	}
-	var sumAvg, sumMax float64
-	for _, a := range parallel.MapRanges(n, workers, partial) {
-		sumAvg += a.avg
-		sumMax += a.max
-	}
-	return NN{DAvg: sumAvg / float64(n), DMax: sumMax / float64(n)}
+	return reduceNN(parallel.MapRanges(n, workers, partial), n)
 }

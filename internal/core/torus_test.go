@@ -72,7 +72,7 @@ func TestTorusExceedsOpenGridStretch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		open, _ := NNStretch(c, 2)
+		open := DAvg(c, 2)
 		torus, _ := NNStretchTorus(c, 2)
 		if torus < open-1e-9 {
 			t.Errorf("%s: torus Davg %v below open %v", name, torus, open)
@@ -91,7 +91,7 @@ func TestTorusSameAsymptoticOrder(t *testing.T) {
 	for _, k := range []int{4, 6, 8} {
 		u := grid.MustNew(2, k)
 		z := curve.NewZ(u)
-		open, _ := NNStretch(z, 2)
+		open := DAvg(z, 2)
 		torus, _ := NNStretchTorus(z, 2)
 		ratios = append(ratios, torus/open)
 	}

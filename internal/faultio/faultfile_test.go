@@ -29,15 +29,14 @@ func shortReadStore(t *testing.T, seed int64) (*store.Store, *faultio.Injector, 
 		}
 		recs[i] = store.Record{Point: p, Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(z, recs, store.Config{PageSize: 8, Fanout: 4})
+	var inj *faultio.Injector
+	st, err := store.Bulkload(z, recs, store.WithPageSize(8), store.WithFanout(4),
+		store.WithDeviceWrapper(func(dev store.PageDevice) (store.PageDevice, error) {
+			var err error
+			inj, err = faultio.Wrap(dev, faultio.Config{Seed: seed, ShortReadProb: 0.5})
+			return inj, err
+		}))
 	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: seed, ShortReadProb: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
 		t.Fatal(err)
 	}
 	return st, inj, u

@@ -25,7 +25,7 @@ func testDevice(t *testing.T) store.PageDevice {
 		}
 		recs[i] = store.Record{Point: p, Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(z, recs, store.Config{PageSize: 8, Fanout: 4})
+	st, err := store.Bulkload(z, recs, store.WithPageSize(8), store.WithFanout(4))
 	if err != nil {
 		t.Fatal(err)
 	}

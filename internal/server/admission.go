@@ -7,9 +7,8 @@ import (
 )
 
 // errShed is returned by acquire when the queue-wait budget elapses with
-// every inflight slot still taken; the handler maps it to 429 +
-// Retry-After.
-var errShed = errors.New("server: overloaded")
+// every inflight slot still taken: 429 / CodeOverloaded + Retry-After.
+var errShed error = classed{failShed, errors.New("overloaded: inflight limit reached within the queue-wait budget")}
 
 // limiter is the daemon's admission controller: a bounded semaphore of
 // inflight query slots plus a queue-wait budget. A request that cannot get

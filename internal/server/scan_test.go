@@ -9,6 +9,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/server"
 	"repro/internal/service"
+	wiretext "repro/internal/wire/text"
 )
 
 // TestScanEndToEnd: /scan with the whole index space returns exactly what
@@ -25,7 +26,7 @@ func TestScanEndToEnd(t *testing.T) {
 
 	n := svc.Curve().Universe().N()
 	var scanResp, queryResp server.QueryResponse
-	getJSON(t, ts.URL+"/scan?ivs="+server.FormatIntervals([]query.Interval{{Lo: 0, Hi: n}}), &scanResp)
+	getJSON(t, ts.URL+"/scan?ivs="+wiretext.FormatIntervals([]query.Interval{{Lo: 0, Hi: n}}), &scanResp)
 	getJSON(t, queryURL(ts.URL, "0,0", "63,63", ""), &queryResp)
 
 	if !scanResp.Complete || len(scanResp.Unavailable) != 0 {
@@ -61,7 +62,7 @@ func TestScanSubsetMatchesDecomposition(t *testing.T) {
 	ivs := query.DecomposeBox(svc.Curve(), b)
 
 	var scanResp, queryResp server.QueryResponse
-	getJSON(t, ts.URL+"/scan?ivs="+server.FormatIntervals(ivs), &scanResp)
+	getJSON(t, ts.URL+"/scan?ivs="+wiretext.FormatIntervals(ivs), &scanResp)
 	getJSON(t, queryURL(ts.URL, "5,9", "40,31", ""), &queryResp)
 	if len(scanResp.Records) != len(queryResp.Records) {
 		t.Fatalf("scan %d records, query %d", len(scanResp.Records), len(queryResp.Records))
@@ -109,7 +110,7 @@ func TestScanRejectsMalformedIntervals(t *testing.T) {
 // TestParseFormatIntervalsRoundTrip: the wire form survives a round trip.
 func TestParseFormatIntervalsRoundTrip(t *testing.T) {
 	ivs := []query.Interval{{Lo: 0, Hi: 7}, {Lo: 9, Hi: 12}, {Lo: 100, Hi: 4096}}
-	got, err := server.ParseIntervals(server.FormatIntervals(ivs))
+	got, err := wiretext.ParseIntervals(wiretext.FormatIntervals(ivs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,27 @@
-// Package server is the network boundary of the repository: an HTTP/JSON
-// daemon wrapping the sharded query service (internal/service) so that the
-// SFC-linearized store can be queried over a socket.
+// Package server is the network boundary of the repository: one request
+// pipeline (pipeline.go) in front of a Backend (backend.go) — the sharded
+// query service for sfcserved, the cluster router for sfcrouter — reachable
+// through two codecs, HTTP/JSON (jsoncodec.go) and the binary wire protocol
+// (wirecodec.go).
 //
 // The paper's thesis is that a space filling curve makes proximate
 // multidimensional data cheap to serve from a one-dimensional index; this
 // package is where that claim becomes operational. The serving concerns
-// live here, not in the service layer:
+// live here, once, for every operation, door and backend:
 //
 //   - Deadline propagation. A request's context — canceled when the client
-//     disconnects, expired when its ?timeout elapses — flows into the
-//     context-first scan path, so an abandoned query stops within one page
-//     fetch.
+//     disconnects, expired when its requested timeout (clamped to the
+//     server's default and cap) elapses — flows into the context-first scan
+//     and write paths, so an abandoned query stops within one page fetch.
 //   - Admission control. A bounded inflight semaphore plus a queue-wait
 //     budget shed excess load with 429 + Retry-After instead of letting
 //     latency collapse for everyone; shed, inflight, queueing and latency
 //     are recorded in the same metrics registry the service reports into.
+//   - Failure classes. One table maps (operation, error) to what each door
+//     says — status code or wire.Code*, Retry-After or not — and which
+//     server.* counter moves.
 //   - Graceful drain. Drain stops accepting work, finishes inflight
-//     requests up to a deadline, then closes the service — SIGTERM during
+//     requests up to a deadline, then closes the backend — SIGTERM during
 //     traffic loses nothing.
 //   - Observability. /metrics (text and JSON), /healthz, /readyz, and
 //     optionally the net/http/pprof handlers via internal/profiling.
@@ -24,13 +29,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,10 +41,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/profiling"
-	"repro/internal/query"
 	"repro/internal/service"
-	"repro/internal/store"
-	wiretext "repro/internal/wire/text"
 )
 
 // Config defaults.
@@ -54,11 +54,12 @@ const (
 	DefaultMaxTimeout = 30 * time.Second
 )
 
-// Server wraps a service.Service behind an HTTP mux. Build one with New,
-// expose Handler to a test server, or Serve a listener directly; Drain
-// performs the graceful shutdown sequence.
+// Server puts a Backend behind an HTTP mux and, optionally, binary wire
+// listeners. Build one with New (a service) or NewBackend, expose Handler
+// to a test server, or Serve a listener directly; Drain performs the
+// graceful shutdown sequence.
 type Server struct {
-	svc *service.Service
+	b   Backend
 	reg *metrics.Registry
 	lim *limiter
 
@@ -70,8 +71,7 @@ type Server struct {
 	mux      *http.ServeMux
 	http     *http.Server
 
-	// Binary wire listener state (wireserver.go). The HTTP and wire front
-	// doors share the limiter, drain flag, and metrics above.
+	// Binary wire listener state (wirecodec.go).
 	wireMu        sync.Mutex
 	wireListeners []net.Listener
 	wireConns     map[net.Conn]struct{}
@@ -79,17 +79,12 @@ type Server struct {
 	wireReqWG     sync.WaitGroup // in-flight wire requests
 	wireAdvert    atomic.Value   // string: addr published via /wireinfo
 
-	reqTotal    *metrics.Counter
-	reqOK       *metrics.Counter
-	reqShed     *metrics.Counter
-	reqBad      *metrics.Counter
-	reqDeadline *metrics.Counter
-	reqCanceled *metrics.Counter
-	reqErrors   *metrics.Counter
-	reqDraining *metrics.Counter
-	inflight    *metrics.Counter
-	latency     *metrics.Histogram
-	queueWaitH  *metrics.Histogram
+	reqTotal   *metrics.Counter
+	reqOK      *metrics.Counter
+	failed     [numFailClasses]*metrics.Counter // by failure class
+	inflight   *metrics.Counter
+	latency    *metrics.Histogram
+	queueWaitH *metrics.Histogram
 }
 
 // buildConfig is the resolved New configuration.
@@ -110,7 +105,7 @@ type optionFunc func(*buildConfig) error
 
 func (f optionFunc) apply(b *buildConfig) error { return f(b) }
 
-// WithMaxInflight bounds the number of queries executing concurrently
+// WithMaxInflight bounds the number of requests executing concurrently
 // (default 4×GOMAXPROCS). Requests beyond the bound queue up to the
 // queue-wait budget, then shed with 429.
 func WithMaxInflight(n int) Option {
@@ -135,8 +130,8 @@ func WithQueueWait(d time.Duration) Option {
 	})
 }
 
-// WithDefaultTimeout sets the deadline applied to requests that carry no
-// ?timeout parameter (default: none — only client disconnect cancels).
+// WithDefaultTimeout sets the deadline applied to requests that ask for
+// none (default: none — only client disconnect cancels).
 func WithDefaultTimeout(d time.Duration) Option {
 	return optionFunc(func(b *buildConfig) error {
 		if d < 0 {
@@ -147,7 +142,7 @@ func WithDefaultTimeout(d time.Duration) Option {
 	})
 }
 
-// WithMaxTimeout caps the per-request ?timeout parameter (default
+// WithMaxTimeout caps the deadline a request may ask for (default
 // DefaultMaxTimeout).
 func WithMaxTimeout(d time.Duration) Option {
 	return optionFunc(func(b *buildConfig) error {
@@ -171,6 +166,11 @@ func WithPprof() Option {
 // registry, so /metrics exposes the service- and server-side series
 // together.
 func New(svc *service.Service, opts ...Option) (*Server, error) {
+	return NewBackend(serviceBackend{svc}, opts...)
+}
+
+// NewBackend builds a Server over any Backend; Drain closes it.
+func NewBackend(b Backend, opts ...Option) (*Server, error) {
 	cfg := buildConfig{
 		maxInflight: 4 * runtime.GOMAXPROCS(0),
 		queueWait:   DefaultQueueWait,
@@ -184,9 +184,9 @@ func New(svc *service.Service, opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	reg := svc.Metrics()
+	reg := b.Metrics()
 	s := &Server{
-		svc:            svc,
+		b:              b,
 		reg:            reg,
 		lim:            newLimiter(cfg.maxInflight, cfg.queueWait),
 		defaultTimeout: cfg.defaultTimeout,
@@ -194,24 +194,21 @@ func New(svc *service.Service, opts ...Option) (*Server, error) {
 		retryAfterSec:  retryAfterSeconds(cfg.queueWait),
 		mux:            http.NewServeMux(),
 
-		reqTotal:    reg.Counter("server.requests"),
-		reqOK:       reg.Counter("server.ok"),
-		reqShed:     reg.Counter("server.shed"),
-		reqBad:      reg.Counter("server.bad_request"),
-		reqDeadline: reg.Counter("server.deadline_exceeded"),
-		reqCanceled: reg.Counter("server.canceled"),
-		reqErrors:   reg.Counter("server.errors"),
-		reqDraining: reg.Counter("server.draining_rejected"),
-		inflight:    reg.Counter("server.inflight"),
-		latency:     reg.Histogram("server.latency_us"),
-		queueWaitH:  reg.Histogram("server.queue_wait_us"),
+		reqTotal:   reg.Counter("server.requests"),
+		reqOK:      reg.Counter("server.ok"),
+		inflight:   reg.Counter("server.inflight"),
+		latency:    reg.Histogram("server.latency_us"),
+		queueWaitH: reg.Histogram("server.queue_wait_us"),
 	}
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/scan", s.handleScan)
-	s.mux.HandleFunc("/put", s.handleWrite((*service.Service).Put))
-	s.mux.HandleFunc("/delete", s.handleWrite((*service.Service).Delete))
-	s.mux.HandleFunc("/flush", s.handleFlush)
-	s.mux.HandleFunc("/digest", s.handleDigest)
+	for c, f := range failures {
+		s.failed[c] = reg.Counter(f.counter)
+	}
+	s.mux.HandleFunc("/query", s.handleJSON(opQuery))
+	s.mux.HandleFunc("/scan", s.handleJSON(opScan))
+	s.mux.HandleFunc("/digest", s.handleJSON(opDigest))
+	s.mux.HandleFunc("/put", s.handleJSON(opPut))
+	s.mux.HandleFunc("/delete", s.handleJSON(opDelete))
+	s.mux.HandleFunc("/flush", s.handleJSON(opFlush))
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -236,6 +233,10 @@ func retryAfterSeconds(queueWait time.Duration) int {
 // Handler returns the server's mux — the hook httptest-based tests serve.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Handle registers an extra endpoint beside the server's own — sfcrouter's
+// /topology. Call it before Serve.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
 // Serve accepts connections on l until Drain (or Close) is called. A clean
 // drain returns nil.
 func (s *Server) Serve(l net.Listener) error {
@@ -246,10 +247,45 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
+// Run is a daemon's serving lifecycle: serve HTTP on l and, when wl is
+// non-nil, the binary protocol on wl (advertised through /wireinfo) until
+// ctx is canceled — the SIGTERM path — then drain for up to drainTimeout.
+// logf narrates the shutdown. A clean drain returns nil.
+func (s *Server) Run(ctx context.Context, l, wl net.Listener, drainTimeout time.Duration, logf func(format string, args ...any)) error {
+	serveErr := make(chan error, 1)
+	if wl != nil {
+		s.AdvertiseWire(wl.Addr().String())
+		go func() {
+			if err := s.ServeWire(wl); err != nil {
+				serveErr <- fmt.Errorf("wire: %w", err)
+			}
+		}()
+	}
+	go func() { serveErr <- s.Serve(l) }()
+	select {
+	case err := <-serveErr:
+		// A listener died without a signal; Drain still closes the backend.
+		s.Drain(context.Background())
+		return fmt.Errorf("serve: %w", err)
+	case <-ctx.Done():
+	}
+	logf("signal received, draining (up to %v)", drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := s.Drain(dctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	if err := <-serveErr; err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	logf("drained cleanly")
+	return nil
+}
+
 // Drain performs the graceful shutdown sequence across both front doors:
 // flip /readyz to 503 and reject new queries (load balancers steer away),
 // stop accepting HTTP and wire connections, wait for inflight requests up
-// to ctx's deadline, then close the underlying service. If ctx expires
+// to ctx's deadline, then close the backend. If ctx expires
 // first, remaining connections are force-closed and the context's error is
 // returned — inflight queries at that point die with the socket.
 func (s *Server) Drain(ctx context.Context) error {
@@ -286,7 +322,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.wireMu.Unlock()
 	s.wireConnWG.Wait()
-	if cerr := s.svc.Close(); err == nil {
+	if cerr := s.b.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -294,399 +330,6 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// handleQuery answers GET /query?lo=x1,…,xd&hi=y1,…,yd[&timeout=250ms].
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	if s.draining.Load() {
-		s.reqDraining.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "draining", true)
-		return
-	}
-	box, timeout, err := s.parseQuery(r)
-	if err != nil {
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	waited, err := s.lim.acquire(ctx)
-	s.queueWaitH.Observe(waited.Microseconds())
-	if err != nil {
-		switch {
-		case errors.Is(err, errShed):
-			s.reqShed.Inc()
-			s.writeError(w, http.StatusTooManyRequests, "overloaded: inflight limit reached within the queue-wait budget", true)
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission", false)
-		default: // client went away while queued; nobody is listening
-			s.reqCanceled.Inc()
-		}
-		return
-	}
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		s.lim.release()
-	}()
-
-	start := time.Now()
-	res, err := s.svc.Range(ctx, box)
-	elapsed := time.Since(start)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded mid-scan", false)
-		case errors.Is(err, context.Canceled):
-			s.reqCanceled.Inc() // client disconnected; response goes nowhere
-		case errors.Is(err, service.ErrShuttingDown):
-			s.reqDraining.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, "shutting down", true)
-		default:
-			s.reqErrors.Inc()
-			s.writeError(w, http.StatusInternalServerError, err.Error(), false)
-		}
-		return
-	}
-	s.latency.Observe(elapsed.Microseconds())
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toResponse(res, elapsed.Microseconds()))
-}
-
-// MaxScanIntervals bounds the interval count a single /scan request may
-// carry, so a malformed router cannot make a node sort an unbounded list.
-//
-// Deprecated: use wiretext.MaxScanIntervals (internal/wire/text).
-const MaxScanIntervals = wiretext.MaxScanIntervals
-
-// handleScan answers GET /scan?ivs=lo-hi,lo-hi,…[&timeout=250ms]: a raw
-// curve-interval scan, the endpoint the cluster router fans box queries out
-// through. Intervals must be non-empty, in-range, sorted, and disjoint —
-// exactly the clipped decomposition the router produces — and the response
-// shape is identical to /query, dark intervals included.
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	if s.draining.Load() {
-		s.reqDraining.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "draining", true)
-		return
-	}
-	q := r.URL.Query()
-	ivs, err := ParseIntervals(q.Get("ivs"))
-	if err != nil {
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("ivs: %v", err), false)
-		return
-	}
-	timeout, err := s.parseTimeout(q.Get("timeout"))
-	if err != nil {
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	waited, err := s.lim.acquire(ctx)
-	s.queueWaitH.Observe(waited.Microseconds())
-	if err != nil {
-		switch {
-		case errors.Is(err, errShed):
-			s.reqShed.Inc()
-			s.writeError(w, http.StatusTooManyRequests, "overloaded: inflight limit reached within the queue-wait budget", true)
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission", false)
-		default: // client went away while queued; nobody is listening
-			s.reqCanceled.Inc()
-		}
-		return
-	}
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		s.lim.release()
-	}()
-
-	start := time.Now()
-	res, err := s.svc.Scan(ctx, ivs)
-	elapsed := time.Since(start)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded mid-scan", false)
-		case errors.Is(err, context.Canceled):
-			s.reqCanceled.Inc() // client disconnected; response goes nowhere
-		case errors.Is(err, service.ErrShuttingDown):
-			s.reqDraining.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, "shutting down", true)
-		default:
-			s.reqBad.Inc()
-			s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		}
-		return
-	}
-	s.latency.Observe(elapsed.Microseconds())
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toResponse(res, elapsed.Microseconds()))
-}
-
-// ParseIntervals parses the /scan wire form "lo-hi,lo-hi,…".
-//
-// Deprecated: use wiretext.ParseIntervals (internal/wire/text).
-func ParseIntervals(v string) ([]query.Interval, error) {
-	return wiretext.ParseIntervals(v)
-}
-
-// FormatIntervals renders intervals in the /scan wire form.
-//
-// Deprecated: use wiretext.FormatIntervals (internal/wire/text).
-func FormatIntervals(ivs []query.Interval) string {
-	return wiretext.FormatIntervals(ivs)
-}
-
-// handleWrite builds the POST /put and /delete handlers: decode one record,
-// route it through the service's durable write path, acknowledge only after
-// the owning shard's WAL has synced it. On a read-only (in-memory) service
-// the endpoints answer 403.
-func (s *Server) handleWrite(op func(*service.Service, context.Context, store.Record, ...service.WriteOption) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.reqTotal.Inc()
-		if r.Method != http.MethodPost {
-			s.reqBad.Inc()
-			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, http.StatusMethodNotAllowed, "POST only", false)
-			return
-		}
-		if s.draining.Load() {
-			s.reqDraining.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, "draining", true)
-			return
-		}
-		var req WriteRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-			s.reqBad.Inc()
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("body: %v", err), false)
-			return
-		}
-		if err := op(s.svc, r.Context(), store.Record{Point: req.Point, Payload: req.Payload}); err != nil {
-			s.writeWriteError(w, err)
-			return
-		}
-		s.reqOK.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(WriteResponse{OK: true, Acked: 1, Required: 1})
-	}
-}
-
-// handleDigest answers GET /digest?ivs=lo-hi,…[&timeout=250ms]: an
-// order-independent (count, checksum) summary of the records held in the
-// given curve intervals, the primitive anti-entropy compares across
-// replicas. A range the node cannot fully read answers 503 — a digest over
-// dark pages would report divergence that is really unavailability.
-func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	if s.draining.Load() {
-		s.reqDraining.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "draining", true)
-		return
-	}
-	q := r.URL.Query()
-	ivs, err := ParseIntervals(q.Get("ivs"))
-	if err != nil {
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("ivs: %v", err), false)
-		return
-	}
-	timeout, err := s.parseTimeout(q.Get("timeout"))
-	if err != nil {
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		return
-	}
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	waited, err := s.lim.acquire(ctx)
-	s.queueWaitH.Observe(waited.Microseconds())
-	if err != nil {
-		switch {
-		case errors.Is(err, errShed):
-			s.reqShed.Inc()
-			s.writeError(w, http.StatusTooManyRequests, "overloaded: inflight limit reached within the queue-wait budget", true)
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission", false)
-		default: // client went away while queued; nobody is listening
-			s.reqCanceled.Inc()
-		}
-		return
-	}
-	s.inflight.Add(1)
-	defer func() {
-		s.inflight.Add(-1)
-		s.lim.release()
-	}()
-
-	start := time.Now()
-	d, err := s.svc.Digest(ctx, ivs)
-	elapsed := time.Since(start)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reqDeadline.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded mid-digest", false)
-		case errors.Is(err, context.Canceled):
-			s.reqCanceled.Inc() // client disconnected; response goes nowhere
-		case errors.Is(err, service.ErrShuttingDown):
-			s.reqDraining.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, "shutting down", true)
-		case errors.Is(err, service.ErrDigestUnavailable):
-			s.reqErrors.Inc()
-			s.writeError(w, http.StatusServiceUnavailable, err.Error(), true)
-		default:
-			s.reqBad.Inc()
-			s.writeError(w, http.StatusBadRequest, err.Error(), false)
-		}
-		return
-	}
-	s.latency.Observe(elapsed.Microseconds())
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toDigestResponse(d, elapsed.Microseconds()))
-}
-
-// handleFlush answers POST /flush: persist every shard's memtable into an
-// on-disk run.
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	if r.Method != http.MethodPost {
-		s.reqBad.Inc()
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only", false)
-		return
-	}
-	if s.draining.Load() {
-		s.reqDraining.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "draining", true)
-		return
-	}
-	if err := s.svc.Flush(r.Context()); err != nil {
-		s.writeWriteError(w, err)
-		return
-	}
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(WriteResponse{OK: true, Acked: 1, Required: 1})
-}
-
-// writeWriteError maps a write-path failure to its status code.
-func (s *Server) writeWriteError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, service.ErrReadOnly):
-		s.reqBad.Inc()
-		s.writeError(w, http.StatusForbidden, "read-only: the daemon was started without -data", false)
-	case errors.Is(err, service.ErrShuttingDown), errors.Is(err, store.ErrClosed):
-		s.reqDraining.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "shutting down", true)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.reqDeadline.Inc()
-		s.writeError(w, http.StatusGatewayTimeout, "deadline exceeded", false)
-	case errors.Is(err, context.Canceled):
-		s.reqCanceled.Inc() // client disconnected; response goes nowhere
-	default:
-		s.reqErrors.Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), false)
-	}
-}
-
-// parseQuery extracts the box corners and the effective per-request
-// timeout.
-func (s *Server) parseQuery(r *http.Request) (query.Box, time.Duration, error) {
-	q := r.URL.Query()
-	u := s.svc.Curve().Universe()
-	lo, err := ParsePoint(q.Get("lo"), u.D())
-	if err != nil {
-		return query.Box{}, 0, fmt.Errorf("lo: %w", err)
-	}
-	hi, err := ParsePoint(q.Get("hi"), u.D())
-	if err != nil {
-		return query.Box{}, 0, fmt.Errorf("hi: %w", err)
-	}
-	box, err := query.NewBox(u, lo, hi)
-	if err != nil {
-		return query.Box{}, 0, err
-	}
-	timeout, err := s.parseTimeout(q.Get("timeout"))
-	if err != nil {
-		return query.Box{}, 0, err
-	}
-	return box, timeout, nil
-}
-
-// parseTimeout resolves the ?timeout parameter against the default and the
-// cap.
-func (s *Server) parseTimeout(t string) (time.Duration, error) {
-	if t == "" {
-		return s.clampTimeout(0), nil
-	}
-	d, err := time.ParseDuration(t)
-	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("timeout: bad duration %q", t)
-	}
-	return s.clampTimeout(d), nil
-}
-
-// clampTimeout resolves a requested deadline against the default and the
-// cap — the one deadline policy both the HTTP and wire front doors apply.
-// Zero means "no deadline requested" and takes the server default.
-func (s *Server) clampTimeout(d time.Duration) time.Duration {
-	if d <= 0 {
-		d = s.defaultTimeout
-	}
-	if s.maxTimeout > 0 && d > s.maxTimeout {
-		d = s.maxTimeout
-	}
-	return d
-}
-
-// ParsePoint parses "3,17,…" into d coordinates — the /query corner wire
-// form.
-//
-// Deprecated: use wiretext.ParsePoint (internal/wire/text).
-func ParsePoint(v string, d int) ([]uint32, error) {
-	return wiretext.ParsePoint(v, d)
-}
-
-// writeError sends the JSON error body; retryable responses carry a
-// Retry-After hint so well-behaved clients back off instead of hammering.
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string, retryable bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if retryable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec))
-	}
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
-}
 
 // handleMetrics serves the registry: aligned text by default,
 // ?format=json (or Accept: application/json) for the machine-readable

@@ -2,17 +2,23 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/client"
 	"repro/internal/curve"
 	"repro/internal/grid"
 	"repro/internal/server"
 	"repro/internal/service"
+	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // newDurableServer builds a server over an initially empty durable service
@@ -191,5 +197,87 @@ func TestWriteEndpointErrors(t *testing.T) {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 		resp.Body.Close()
+	}
+}
+
+// gatedWAL holds every Sync until the gate opens — a put parked inside it
+// occupies its inflight slot for as long as the test wants.
+type gatedWAL struct {
+	wal.File
+	entered chan<- struct{}
+	gate    <-chan struct{}
+}
+
+func (f gatedWAL) Sync() error {
+	f.entered <- struct{}{}
+	<-f.gate
+	return f.File.Sync()
+}
+
+// TestJSONPutShedBeforeWAL: the JSON write endpoints pass the same
+// admission control as everything else. With the single inflight slot held
+// by a put parked in its WAL sync, a second JSON put is shed with 429 +
+// Retry-After before the WAL is touched — the record is absent afterwards —
+// and the client reads that as a safe-to-repeat overload, not as a write
+// that may have been applied.
+func TestJSONPutShedBeforeWAL(t *testing.T) {
+	u := grid.MustNew(2, 4)
+	entered, gate := make(chan struct{}, 8), make(chan struct{})
+	svc, err := service.New(curve.NewHilbert(u), nil, service.WithDurableDir(t.TempDir()),
+		service.WithDurableShardOptions(func(int) []store.DurableOption {
+			return []store.DurableOption{store.WithWALWrapper(func(f wal.File) wal.File {
+				return gatedWAL{File: f, entered: entered, gate: gate}
+			})}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	srv, err := server.New(svc, server.WithMaxInflight(1), server.WithQueueWait(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	held := make(chan int, 1) // the parked put's status, 0 if it never got one
+	go func() {
+		resp, err := http.Post(ts.URL+"/put", "application/json", strings.NewReader(`{"point":[1,1],"payload":1}`))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-entered // the first put owns the slot and is inside its WAL sync
+
+	cl := client.New(ts.URL, client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}))
+	_, err = cl.Put(context.Background(), store.Record{Point: u.MustPoint(2, 2), Payload: 2}, client.WithTimeout(time.Second))
+	if !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("put against a saturated daemon: %v, want ErrOverloaded", err)
+	}
+	var ma *client.MaybeAppliedError
+	if errors.As(err, &ma) {
+		t.Fatalf("shed put classified maybe-applied: %v", err)
+	}
+	if got := cl.Stats().Shed; got != 1 {
+		t.Fatalf("client counted %d shed answers, want 1", got)
+	}
+	if got := svc.Metrics().Counter("server.shed").Value(); got != 1 {
+		t.Fatalf("server.shed = %d, want 1", got)
+	}
+	if len(entered) != 0 {
+		t.Fatal("the shed put reached the WAL")
+	}
+
+	close(gate)
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held put: status %d", status)
+	}
+	var qr server.QueryResponse
+	getJSON(t, ts.URL+"/query?lo=0,0&hi=15,15", &qr)
+	if len(qr.Records) != 1 || qr.Records[0].Payload != 1 {
+		t.Fatalf("daemon holds %+v, want only the admitted put", qr.Records)
 	}
 }

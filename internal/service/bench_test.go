@@ -29,9 +29,7 @@ func BenchmarkServiceRange(b *testing.B) {
 		for _, cache := range []int{-1, 1024} {
 			name := fmt.Sprintf("shards=%d/cache=%d", shards, cache)
 			b.Run(name, func(b *testing.B) {
-				svc, err := service.New(c, recs, service.Config{
-					Shards: shards, CacheSize: cache, PageSize: 64,
-				})
+				svc, err := service.New(c, recs, service.WithShards(shards), service.WithCacheSize(cache), service.WithPageSize(64))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -58,7 +56,7 @@ func BenchmarkServiceRange(b *testing.B) {
 func BenchmarkServiceDecomposeCache(b *testing.B) {
 	u := grid.MustNew(2, 6)
 	c := curve.NewHilbert(u)
-	svc, err := service.New(c, randomRecords(u, 20_000, 42), service.Config{Shards: 4})
+	svc, err := service.New(c, randomRecords(u, 20_000, 42), service.WithShards(4))
 	if err != nil {
 		b.Fatal(err)
 	}

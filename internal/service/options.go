@@ -21,9 +21,7 @@ type buildConfig struct {
 }
 
 // Option configures New, mirroring the store's Bulkload options. Options
-// are applied in order; later options override earlier ones. The legacy
-// Config struct satisfies Option, so old New(c, recs, cfg) call sites
-// compile unchanged.
+// are applied in order; later options override earlier ones.
 type Option interface {
 	apply(*buildConfig) error
 }
@@ -131,54 +129,4 @@ func WithDurableShardOptions(f func(j int) []store.DurableOption) Option {
 		b.durableOpts = f
 		return nil
 	})
-}
-
-// Config parameterizes New. The zero value is usable: one shard, one worker
-// per CPU, the default cache size and page size. It satisfies Option so
-// that the pre-functional-options New signature keeps compiling; zero
-// fields leave the defaults in place.
-//
-// Deprecated: pass WithShards / WithWorkers / WithCacheSize / WithPageSize
-// / WithMetrics / WithShardStoreOptions instead.
-type Config struct {
-	// Shards is the number of store shards; 0 means 1.
-	Shards int
-	// Workers bounds the pool executing per-shard scans; 0 means
-	// GOMAXPROCS.
-	Workers int
-	// CacheSize is the decomposition cache capacity in entries: 0 means
-	// DefaultCacheSize, negative disables retention (coalescing of
-	// concurrent identical decompositions is kept).
-	CacheSize int
-	// PageSize is the leaf page size of every shard store; 0 means the
-	// store default.
-	PageSize int
-	// Registry receives the service metrics; nil means a private registry
-	// (readable through Metrics).
-	Registry *metrics.Registry
-	// ShardOptions, when non-nil, supplies extra bulkload options for shard
-	// j — the hook fault-injection tests use to wrap each shard's device.
-	ShardOptions func(j int) []store.Option
-}
-
-func (cfg Config) apply(b *buildConfig) error {
-	if cfg.Shards != 0 {
-		b.shards = cfg.Shards
-	}
-	if cfg.Workers != 0 {
-		b.workers = cfg.Workers
-	}
-	if cfg.CacheSize != 0 {
-		b.cacheSize = cfg.CacheSize
-	}
-	if cfg.PageSize != 0 {
-		b.pageSize = cfg.PageSize
-	}
-	if cfg.Registry != nil {
-		b.registry = cfg.Registry
-	}
-	if cfg.ShardOptions != nil {
-		b.shardOpts = cfg.ShardOptions
-	}
-	return nil
 }

@@ -39,13 +39,13 @@ func optionTestData(t *testing.T) (curve.Curve, []store.Record, []query.Box) {
 	return c, recs, boxes
 }
 
-// TestOptionsEquivalentToConfig: a service built with functional options
-// answers queries identically to one built with the legacy Config literal,
-// and both forms keep compiling against the same New.
-func TestOptionsEquivalentToConfig(t *testing.T) {
+// TestOptionsConfigureService: a service built with the full option set has
+// the geometry it was asked for, records into the supplied registry, and
+// answers every query exactly like an unsharded store over the same records.
+func TestOptionsConfigureService(t *testing.T) {
 	c, recs, boxes := optionTestData(t)
 	reg := metrics.NewRegistry()
-	viaOpts, err := service.New(c, recs,
+	svc, err := service.New(c, recs,
 		service.WithShards(4),
 		service.WithWorkers(2),
 		service.WithCacheSize(16),
@@ -55,33 +55,30 @@ func TestOptionsEquivalentToConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer viaOpts.Close()
-	viaConfig, err := service.New(c, recs, service.Config{
-		Shards: 4, Workers: 2, CacheSize: 16, PageSize: 8,
-	})
+	defer svc.Close()
+	single, err := store.Bulkload(c, recs, store.WithPageSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer viaConfig.Close()
 
-	if viaOpts.Shards() != 4 || viaConfig.Shards() != 4 {
-		t.Fatalf("shards: opts %d, config %d, want 4", viaOpts.Shards(), viaConfig.Shards())
+	if svc.Shards() != 4 {
+		t.Fatalf("shards: %d, want 4", svc.Shards())
 	}
-	if viaOpts.Metrics() != reg {
+	if svc.Metrics() != reg {
 		t.Fatal("WithMetrics registry not adopted")
 	}
 	ctx := context.Background()
 	for _, b := range boxes {
-		ro, err := viaOpts.Range(ctx, b)
+		got, err := svc.Range(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := viaConfig.Range(ctx, b)
+		want, err := single.ScanBox(ctx, b, store.ScanStrict())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ro.Records, rc.Records) {
-			t.Fatal("option-built and config-built services disagree")
+		if !reflect.DeepEqual(got.Records, want.Records) {
+			t.Fatal("option-built service disagrees with the unsharded store")
 		}
 	}
 	if reg.Counter("queries.total").Value() != int64(len(boxes)) {
@@ -91,7 +88,7 @@ func TestOptionsEquivalentToConfig(t *testing.T) {
 }
 
 // TestOptionsValidate: out-of-range options fail New instead of silently
-// clamping, and a later option overrides an earlier one (Config included).
+// clamping, and a later option overrides an earlier one.
 func TestOptionsValidate(t *testing.T) {
 	c, recs, _ := optionTestData(t)
 	for _, tc := range []struct {
@@ -108,8 +105,8 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: invalid option accepted", tc.name)
 		}
 	}
-	// Later options win: Config sets 2 shards, WithShards overrides to 3.
-	svc, err := service.New(c, recs, service.Config{Shards: 2}, service.WithShards(3))
+	// Later options win.
+	svc, err := service.New(c, recs, service.WithShards(2), service.WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,8 +86,7 @@ func (r Result) Complete() bool { return len(r.Unavailable) == 0 }
 // curve-index cuts and starts the worker pool. The input records are not
 // retained. Configuration is by functional options mirroring the store's
 // (WithShards, WithWorkers, WithCacheSize, WithPageSize, WithMetrics,
-// WithShardStoreOptions); the legacy Config struct also satisfies Option,
-// so pre-option call sites compile unchanged.
+// WithShardStoreOptions).
 func New(c curve.Curve, recs []store.Record, opts ...Option) (*Service, error) {
 	var cfg buildConfig
 	for _, opt := range opts {

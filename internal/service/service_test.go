@@ -60,16 +60,14 @@ func TestShardedEqualsSingleStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 3, 8} {
-			svc, err := service.New(c, recs, service.Config{
-				Shards: shards, Workers: 4, PageSize: 8,
-			})
+			svc, err := service.New(c, recs, service.WithShards(shards), service.WithWorkers(4), service.WithPageSize(8))
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(shards)))
 			for q := 0; q < 40; q++ {
 				b := randomBox(u, rng)
-				want, err := single.RangeQuery(b)
+				want, err := strictBox(single, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,9 +107,8 @@ func TestDegradedTiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(c, recs, service.Config{
-		Shards: 4, Workers: 4, PageSize: 8,
-		ShardOptions: func(j int) []store.Option {
+	svc, err := service.New(c, recs, service.WithShards(4), service.WithWorkers(4), service.WithPageSize(8),
+		service.WithShardStoreOptions(func(j int) []store.Option {
 			return []store.Option{store.WithDeviceWrapper(func(dev store.PageDevice) (store.PageDevice, error) {
 				// Deterministically kill every 4th page of shard j, offset
 				// by j so each shard darkens a different stripe.
@@ -121,8 +118,7 @@ func TestDegradedTiling(t *testing.T) {
 				}
 				return faultio.Wrap(dev, faultio.Config{Seed: int64(100 + j), LostPages: lost})
 			})}
-		},
-	})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +128,7 @@ func TestDegradedTiling(t *testing.T) {
 	sawDark := false
 	for q := 0; q < 60; q++ {
 		b := randomBox(u, rng)
-		want, err := reference.RangeQuery(b)
+		want, err := strictBox(reference, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +185,7 @@ func TestDegradedTiling(t *testing.T) {
 func TestRouting(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	c := curve.NewHilbert(u)
-	svc, err := service.New(c, randomRecords(u, 1000, 3), service.Config{Shards: 8, Workers: 2})
+	svc, err := service.New(c, randomRecords(u, 1000, 3), service.WithShards(8), service.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +221,7 @@ func TestRouting(t *testing.T) {
 func TestCloseSemantics(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	c := curve.NewZ(u)
-	svc, err := service.New(c, randomRecords(u, 200, 9), service.Config{Shards: 2})
+	svc, err := service.New(c, randomRecords(u, 200, 9), service.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +252,7 @@ func TestCloseSemantics(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	c := curve.NewHilbert(u)
-	svc, err := service.New(c, randomRecords(u, 2000, 13), service.Config{Shards: 4, PageSize: 4})
+	svc, err := service.New(c, randomRecords(u, 2000, 13), service.WithShards(4), service.WithPageSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +273,7 @@ func TestContextCancellation(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	c := curve.NewHilbert(u)
-	svc, err := service.New(c, randomRecords(u, 2000, 17), service.Config{
-		Shards: 4, Workers: 4, PageSize: 8, CacheSize: 32,
-	})
+	svc, err := service.New(c, randomRecords(u, 2000, 17), service.WithShards(4), service.WithWorkers(4), service.WithPageSize(8), service.WithCacheSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +294,7 @@ func TestConcurrentClients(t *testing.T) {
 					errc <- err
 					return
 				}
-				want, err := single.RangeQuery(b)
+				want, err := strictBox(single, b)
 				if err != nil {
 					errc <- err
 					return
@@ -329,4 +323,11 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("cache accounting %d+%d+%d does not cover %d queries",
 			hits, misses, shared, clients*perClient)
 	}
+}
+
+// strictBox is the unsharded reference answer: every record inside b, or an
+// error if any page is unreadable.
+func strictBox(st *store.Store, b query.Box) ([]store.Record, error) {
+	res, err := st.ScanBox(context.Background(), b, store.ScanStrict())
+	return res.Records, err
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func benchStore(tb testing.TB) (*Store, []query.Box) {
 		}
 		recs[i] = Record{Point: p, Payload: uint64(i)}
 	}
-	st, err := Bulkload(h, recs, Config{PageSize: 32, Fanout: 16})
+	st, err := Bulkload(h, recs, WithPageSize(32), WithFanout(16))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,6 +68,7 @@ func benchStore(tb testing.TB) (*Store, []query.Box) {
 // requirement is device ≤ 1.05 × seedpath.
 func BenchmarkStoreFaultFree(b *testing.B) {
 	st, boxes := benchStore(b)
+	ctx := context.Background()
 	var sink int
 	b.Run("seedpath", func(b *testing.B) {
 		b.ReportAllocs()
@@ -77,17 +79,17 @@ func BenchmarkStoreFaultFree(b *testing.B) {
 	b.Run("device", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := st.RangeQuery(boxes[i%len(boxes)])
+			out, err := st.ScanBox(ctx, boxes[i%len(boxes)], ScanStrict())
 			if err != nil {
 				b.Fatal(err)
 			}
-			sink += len(out)
+			sink += len(out.Records)
 		}
 	})
 	b.Run("degraded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink += len(st.RangeQueryDegraded(boxes[i%len(boxes)]).Records)
+			sink += len(st.BoxQuery(boxes[i%len(boxes)]))
 		}
 	})
 	_ = sink
@@ -99,10 +101,11 @@ func TestSeedPathParity(t *testing.T) {
 	st, boxes := benchStore(t)
 	for _, box := range boxes {
 		want := st.boxQuerySeedPath(box)
-		got, err := st.RangeQuery(box)
+		res, err := st.ScanBox(context.Background(), box, ScanStrict())
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Records
 		if len(want) != len(got) {
 			t.Fatalf("seed path %d records, device path %d", len(want), len(got))
 		}

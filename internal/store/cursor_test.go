@@ -73,7 +73,7 @@ func sameSlices[T any](a, b []T) bool {
 // dupHeavyStore builds a store whose records are drawn from a small pool
 // of points, so long runs of duplicate curve keys straddle page
 // boundaries — the case the cursor's boundary holdback exists for.
-func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, ps int) (curve.Curve, *store.Store) {
+func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, ps int, opts ...store.Option) (curve.Curve, *store.Store) {
 	t.Helper()
 	c, err := curve.ByName(name, u, seed)
 	if err != nil {
@@ -92,7 +92,7 @@ func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, see
 	for i := range recs {
 		recs[i] = store.Record{Point: pts[rng.Intn(pool)], Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(c, recs, store.Config{PageSize: ps, Fanout: 4})
+	st, err := store.Bulkload(c, recs, append([]store.Option{store.WithPageSize(ps), store.WithFanout(4)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +119,11 @@ func TestCursorEqualsScanProperty(t *testing.T) {
 		{"z", 8, 4096, 0.1, 14},
 		{"snake", 16, 64, 0, 15},
 	} {
-		c, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, cfg.ps)
+		var opts []store.Option
 		if cfg.lostFrac > 0 {
-			inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SetDevice(inj); err != nil {
-				t.Fatal(err)
-			}
+			opts = append(opts, withFaults(faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac}, nil))
 		}
+		c, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, cfg.ps, opts...)
 		rng := rand.New(rand.NewSource(cfg.seed * 101))
 		for q := 0; q < 12; q++ {
 			ivs := query.DecomposeBox(c, randomTestBox(rng, u))
@@ -261,14 +256,8 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 // ErrPageUnavailable at the first lost page, and the error is sticky.
 func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.Config{PageSize: 8, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 3, LostPages: []int{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, nil))
 	ctx := context.Background()
 	cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}}, store.ScanStrict())
 	if err != nil {
@@ -296,7 +285,7 @@ func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 // context's error, with no fabricated batch.
 func TestCursorContextCanceled(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 1200, 11, store.Config{PageSize: 4, Fanout: 4})
+	_, _, st := buildStore(t, u, "z", 1200, 11, store.WithPageSize(4), store.WithFanout(4))
 	cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +306,7 @@ func TestCursorContextCanceled(t *testing.T) {
 // disjoint intervals, so the constructor enforces them.
 func TestCursorRejectsUnsortedIntervals(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 100, 11, store.Config{PageSize: 4, Fanout: 4})
+	_, _, st := buildStore(t, u, "z", 100, 11, store.WithPageSize(4), store.WithFanout(4))
 	if _, err := st.ScanCursor([]query.Interval{{Lo: 10, Hi: 20}, {Lo: 5, Hi: 9}}); err == nil {
 		t.Fatal("unsorted intervals accepted")
 	}
@@ -331,7 +320,7 @@ func TestCursorRejectsUnsortedIntervals(t *testing.T) {
 // streaming hot path.
 func TestCursorNextAllocs(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "hilbert", 8000, 5, store.Config{PageSize: 8, Fanout: 4})
+	_, _, st := buildStore(t, u, "hilbert", 8000, 5, store.WithPageSize(8), store.WithFanout(4))
 	ivs := []query.Interval{{Lo: 0, Hi: u.N()}}
 	ctx := context.Background()
 	cur, err := st.ScanCursor(ivs, store.ScanBatchSize(64))

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/store"
 )
 
-func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, cfg store.Config) (curve.Curve, []store.Record, *store.Store) {
+func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, opts ...store.Option) (curve.Curve, []store.Record, *store.Store) {
 	t.Helper()
 	c, err := curve.ByName(name, u, seed)
 	if err != nil {
@@ -28,48 +29,59 @@ func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, 
 		}
 		recs[i] = store.Record{Point: p, Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(c, recs, cfg)
+	st, err := store.Bulkload(c, recs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, recs, st
 }
 
+// withFaults is the Bulkload option that routes leaf reads through a fault
+// injector over the bulkloaded device; a non-nil inj receives the injector.
+func withFaults(cfg faultio.Config, inj **faultio.Injector) store.Option {
+	return store.WithDeviceWrapper(func(dev store.PageDevice) (store.PageDevice, error) {
+		fi, err := faultio.Wrap(dev, cfg)
+		if inj != nil {
+			*inj = fi
+		}
+		return fi, err
+	})
+}
+
 // TestDegradedZeroOverheadProperty is the zero-overhead guarantee: with the
-// injector disabled (and with no injector at all), RangeQueryDegraded
-// returns byte-identical records and identical Stats to RangeQuery, across
-// curves, page geometries and query boxes.
+// injector disabled (and with no injector at all), a degraded ScanBox
+// returns byte-identical records and identical Stats to a strict one,
+// across curves, page geometries and query boxes.
 func TestDegradedZeroOverheadProperty(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	rng := rand.New(rand.NewSource(99))
+	ctx := context.Background()
 	for _, name := range curve.Names() {
 		for _, ps := range []int{2, 8, 64} {
-			_, _, st := buildStore(t, u, name, 1500, 17, store.Config{PageSize: ps, Fanout: 4})
+			opts := []store.Option{store.WithPageSize(ps), store.WithFanout(4)}
 			// Half the configurations also get a disabled injector in the
 			// read path, so the wrapper itself is covered.
 			if ps != 8 {
-				inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.SetDevice(inj); err != nil {
-					t.Fatal(err)
-				}
+				opts = append(opts, withFaults(faultio.Config{Seed: 5}, nil))
 			}
+			_, _, st := buildStore(t, u, name, 1500, 17, opts...)
 			for q := 0; q < 8; q++ {
 				b := randomTestBox(rng, u)
 				st.ResetStats()
-				strict, err := st.RangeQuery(b)
+				strict, err := st.ScanBox(ctx, b, store.ScanStrict())
 				if err != nil {
 					t.Fatalf("%s ps=%d: strict query failed without faults: %v", name, ps, err)
 				}
 				strictStats := st.Stats()
 				st.ResetStats()
-				deg := st.RangeQueryDegraded(b)
+				deg, err := st.ScanBox(ctx, b)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !deg.Complete() {
 					t.Fatalf("%s ps=%d: %d dark intervals without faults", name, ps, len(deg.Unavailable))
 				}
-				if !reflect.DeepEqual(strict, deg.Records) {
+				if !reflect.DeepEqual(strict.Records, deg.Records) {
 					t.Fatalf("%s ps=%d: degraded records differ from strict", name, ps)
 				}
 				if got := st.Stats(); got != strictStats {
@@ -103,24 +115,23 @@ func randomTestBox(rng *rand.Rand, u *grid.Universe) query.Box {
 // the dark intervals stay within the box's curve footprint.
 func TestDegradedLostPages(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	c, recs, st := buildStore(t, u, "hilbert", 2000, 3, store.Config{PageSize: 8, Fanout: 4})
-	lost := []int{0, 7, 8, 31, st.NumPages() - 1}
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 1, LostPages: lost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	const records, pageSize = 2000, 8
+	lost := []int{0, 7, 8, 31, records/pageSize - 1} // the last page included
+	c, recs, st := buildStore(t, u, "hilbert", records, 3, store.WithPageSize(pageSize), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 1, LostPages: lost}, nil))
+	ctx := context.Background()
 	full, err := query.NewBox(u, u.NewPoint(), u.MustPoint(u.Side()-1, u.Side()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RangeQuery(full); !errors.Is(err, store.ErrPageUnavailable) {
+	if _, err := st.ScanBox(ctx, full, store.ScanStrict()); !errors.Is(err, store.ErrPageUnavailable) {
 		t.Fatalf("strict query over lost pages: err = %v, want ErrPageUnavailable", err)
 	}
 	st.ResetStats()
-	res := st.RangeQueryDegraded(full)
+	res, err := st.ScanBox(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Complete() {
 		t.Fatal("query over lost pages reported complete")
 	}
@@ -162,19 +173,17 @@ func TestDegradedLostPages(t *testing.T) {
 // retried, and ultimately reported unavailable rather than served wrong.
 func TestChecksumCatchesCorruption(t *testing.T) {
 	u := grid.MustNew(2, 4)
-	_, _, st := buildStore(t, u, "z", 600, 9, store.Config{PageSize: 8, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 2, CorruptProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	var inj *faultio.Injector
+	_, _, st := buildStore(t, u, "z", 600, 9, store.WithPageSize(8), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 2, CorruptProb: 1}, &inj))
 	full, err := query.NewBox(u, u.NewPoint(), u.MustPoint(u.Side()-1, u.Side()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := st.RangeQueryDegraded(full)
+	res, err := st.ScanBox(context.Background(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Records) != 0 {
 		t.Fatalf("%d records served despite always-corrupting device", len(res.Records))
 	}
@@ -187,24 +196,23 @@ func TestChecksumCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestSetDeviceValidation covers the device plumbing error paths.
+// TestSetDeviceValidation covers the device plumbing error paths: a nil or
+// wrong-sized device and an unusable retry policy fail Bulkload.
 func TestSetDeviceValidation(t *testing.T) {
 	u := grid.MustNew(2, 3)
-	_, _, st := buildStore(t, u, "z", 100, 1, store.Config{PageSize: 4, Fanout: 4})
-	if err := st.SetDevice(nil); err == nil {
-		t.Fatal("nil device accepted")
+	c, recs, st := buildStore(t, u, "z", 100, 1, store.WithPageSize(4), store.WithFanout(4))
+	_, _, other := buildStore(t, u, "z", 10, 1, store.WithPageSize(4), store.WithFanout(4))
+	for name, opt := range map[string]store.Option{
+		"nil device":        store.WithDevice(nil),
+		"mismatched device": store.WithDevice(other.DefaultDevice()),
+		"negative attempts": store.WithRetryPolicy(store.RetryPolicy{MaxAttempts: -1}),
+	} {
+		if _, err := store.Bulkload(c, recs, store.WithPageSize(4), store.WithFanout(4), opt); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	_, _, other := buildStore(t, u, "z", 10, 1, store.Config{PageSize: 4, Fanout: 4})
-	if err := st.SetDevice(other.DefaultDevice()); err == nil {
-		t.Fatal("mismatched device accepted")
-	}
-	if err := st.SetDevice(st.DefaultDevice()); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetRetryPolicy(store.RetryPolicy{MaxAttempts: -1}); err == nil {
-		t.Fatal("negative MaxAttempts accepted")
-	}
-	if err := st.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 2}); err != nil {
+	if _, err := store.Bulkload(c, recs, store.WithPageSize(4), store.WithFanout(4),
+		store.WithDevice(st.DefaultDevice()), store.WithRetryPolicy(store.RetryPolicy{MaxAttempts: 2})); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,7 +42,7 @@ func TestFileRoundTripIdentical(t *testing.T) {
 		u := grid.MustNew(d, 4)
 		h := curve.NewHilbert(u)
 		recs := randomRecords(u, 900, int64(d))
-		mem, err := Bulkload(h, recs, Config{PageSize: 8, Fanout: 4})
+		mem, err := Bulkload(h, recs, WithPageSize(8), WithFanout(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestFileRoundTripIdentical(t *testing.T) {
 func TestFileRoundTripEmpty(t *testing.T) {
 	u := grid.MustNew(2, 3)
 	z := curve.NewZ(u)
-	mem, err := Bulkload(z, nil, Config{})
+	mem, err := Bulkload(z, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestWriteFileFromFileBackedStore(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	h := curve.NewHilbert(u)
 	recs := randomRecords(u, 500, 9)
-	mem, err := Bulkload(h, recs, Config{PageSize: 8, Fanout: 4})
+	mem, err := Bulkload(h, recs, WithPageSize(8), WithFanout(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWriteFileFromFileBackedStore(t *testing.T) {
 func TestOpenFileDetectsCorruption(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	h := curve.NewHilbert(u)
-	mem, err := Bulkload(h, randomRecords(u, 120, 3), Config{PageSize: 8, Fanout: 4})
+	mem, err := Bulkload(h, randomRecords(u, 120, 3), WithPageSize(8), WithFanout(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func (c *corruptingDevice) ReadPage(id int) (Page, error) {
 func TestFileBackedChecksumVerification(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	h := curve.NewHilbert(u)
-	mem, err := Bulkload(h, randomRecords(u, 300, 5), Config{PageSize: 8, Fanout: 4})
+	mem, err := Bulkload(h, randomRecords(u, 300, 5), WithPageSize(8), WithFanout(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFileBackedChecksumVerification(t *testing.T) {
 func TestOpenFileValidation(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	h := curve.NewHilbert(u)
-	mem, err := Bulkload(h, randomRecords(u, 100, 1), Config{PageSize: 8, Fanout: 4})
+	mem, err := Bulkload(h, randomRecords(u, 100, 1), WithPageSize(8), WithFanout(4))
 	if err != nil {
 		t.Fatal(err)
 	}

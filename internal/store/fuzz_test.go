@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/curve"
@@ -32,7 +33,14 @@ func FuzzBulkload(f *testing.F) {
 			}
 			recs = append(recs, store.Record{Point: p, Payload: uint64(i)})
 		}
-		st, err := store.Bulkload(z, recs, store.Config{PageSize: int(pageSize), Fanout: int(fanout)})
+		var opts []store.Option // zero means "leave the default"
+		if pageSize != 0 {
+			opts = append(opts, store.WithPageSize(int(pageSize)))
+		}
+		if fanout != 0 {
+			opts = append(opts, store.WithFanout(int(fanout)))
+		}
+		st, err := store.Bulkload(z, recs, opts...)
 		wantErr := !inUniverse || pageSize == 1 || fanout == 1
 		if (err != nil) != wantErr {
 			t.Fatalf("Bulkload(%d recs, ps=%d, fo=%d): err=%v, wantErr=%v", len(recs), pageSize, fanout, err, wantErr)
@@ -47,10 +55,11 @@ func FuzzBulkload(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.RangeQuery(full)
+		strict, err := st.ScanBox(context.Background(), full, store.ScanStrict())
 		if err != nil {
 			t.Fatalf("full-box query on default device: %v", err)
 		}
+		got := strict.Records
 		if len(got) != len(recs) {
 			t.Fatalf("full box returned %d of %d records", len(got), len(recs))
 		}
@@ -62,7 +71,10 @@ func FuzzBulkload(f *testing.F) {
 			}
 			seen[r.Payload] = true
 		}
-		deg := st.RangeQueryDegraded(full)
+		deg, err := st.ScanBox(context.Background(), full)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !deg.Complete() || len(deg.Records) != len(recs) {
 			t.Fatalf("degraded full box: %d records, %d dark intervals", len(deg.Records), len(deg.Unavailable))
 		}

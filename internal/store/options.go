@@ -85,23 +85,3 @@ func WithRetryPolicy(rp RetryPolicy) Option {
 		return nil
 	})
 }
-
-// Config tunes the store geometry. It satisfies Option so that the
-// pre-functional-options Bulkload signature keeps compiling; zero fields
-// leave the defaults in place.
-//
-// Deprecated: pass WithPageSize / WithFanout instead.
-type Config struct {
-	PageSize int // records per leaf page (default 64)
-	Fanout   int // children per inner node (default 64)
-}
-
-func (cfg Config) apply(b *buildConfig) error {
-	if cfg.PageSize != 0 {
-		b.pageSize = cfg.PageSize
-	}
-	if cfg.Fanout != 0 {
-		b.fanout = cfg.Fanout
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,6 +43,7 @@ func TestConcurrentStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -54,7 +56,7 @@ func TestConcurrentStats(t *testing.T) {
 				case g == 1 && i%5 == 0:
 					_ = st.Stats() // snapshot while queries are in flight
 				default:
-					if _, err := st.RangeQuery(boxes[(g*50+i)%len(boxes)]); err != nil {
+					if _, err := st.ScanBox(ctx, boxes[(g*50+i)%len(boxes)], store.ScanStrict()); err != nil {
 						t.Error(err)
 						return
 					}
@@ -71,7 +73,7 @@ func TestConcurrentStats(t *testing.T) {
 		t.Fatalf("stats after reset = %+v", got)
 	}
 	ivs := query.DecomposeBox(c, boxes[0])
-	if _, err := st.RangeQuery(boxes[0]); err != nil {
+	if _, err := st.ScanBox(ctx, boxes[0], store.ScanStrict()); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats().Descents; got != len(ivs) {

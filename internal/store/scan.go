@@ -86,9 +86,6 @@ func ScanBatchSize(n int) ScanOption {
 // device (or a fault injector that injects nothing) both modes return
 // byte-identical records and charge identical Stats — degraded mode costs
 // nothing when nothing fails.
-//
-// The deprecated Range* methods are thin wrappers over Scan; new callers —
-// the sharded service and the network daemon above it — use Scan directly.
 func (st *Store) Scan(ctx context.Context, ivs []query.Interval, opts ...ScanOption) (ScanResult, error) {
 	var cfg scanConfig
 	for _, opt := range opts {

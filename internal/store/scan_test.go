@@ -19,7 +19,7 @@ import (
 func TestScanStrictEqualsDegradedFaultFree(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	rng := rand.New(rand.NewSource(41))
-	_, _, st := buildStore(t, u, "hilbert", 1500, 17, store.Config{PageSize: 8, Fanout: 4})
+	_, _, st := buildStore(t, u, "hilbert", 1500, 17, store.WithPageSize(8), store.WithFanout(4))
 	ctx := context.Background()
 	for q := 0; q < 16; q++ {
 		b := randomTestBox(rng, u)
@@ -52,19 +52,14 @@ func TestScanStrictEqualsDegradedFaultFree(t *testing.T) {
 	}
 }
 
-// TestScanWrappersDelegate: the deprecated Range* wrappers return results
-// bit-identical to Scan's, dark intervals included.
+// TestScanWrappersDelegate: the box-level wrappers ScanBox and BoxQuery
+// return results bit-identical to Scan over the box's decomposition, dark
+// intervals included.
 func TestScanWrappersDelegate(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	rng := rand.New(rand.NewSource(42))
-	c, _, st := buildStore(t, u, "z", 2000, 23, store.Config{PageSize: 4, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 9, LostFrac: 0.15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	c, _, st := buildStore(t, u, "z", 2000, 23, store.WithPageSize(4), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 9, LostFrac: 0.15}, nil))
 	ctx := context.Background()
 	for q := 0; q < 16; q++ {
 		b := randomTestBox(rng, u)
@@ -73,27 +68,25 @@ func TestScanWrappersDelegate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deg, err := st.RangeIntervalsDegraded(ctx, ivs)
+		box, err := st.ScanBox(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Records, deg.Records) ||
-			!reflect.DeepEqual(res.Unavailable, deg.Unavailable) ||
-			res.PagesRead != deg.PagesRead {
-			t.Fatal("RangeIntervalsDegraded diverges from Scan")
+		if !reflect.DeepEqual(res.Records, box.Records) ||
+			!reflect.DeepEqual(res.Unavailable, box.Unavailable) ||
+			res.PagesRead != box.PagesRead {
+			t.Fatal("ScanBox diverges from Scan")
 		}
-		wrap := st.RangeQueryDegraded(b)
-		if !reflect.DeepEqual(res.Records, wrap.Records) ||
-			!reflect.DeepEqual(res.Unavailable, wrap.Unavailable) {
-			t.Fatal("RangeQueryDegraded diverges from Scan")
+		if !reflect.DeepEqual(res.Records, st.BoxQuery(b)) {
+			t.Fatal("BoxQuery diverges from Scan")
 		}
 		strict, strictErr := st.Scan(ctx, ivs, store.ScanStrict())
-		old, oldErr := st.RangeIntervals(ctx, ivs)
-		if (strictErr == nil) != (oldErr == nil) {
-			t.Fatalf("strict error mismatch: Scan %v, RangeIntervals %v", strictErr, oldErr)
+		strictBox, boxErr := st.ScanBox(ctx, b, store.ScanStrict())
+		if (strictErr == nil) != (boxErr == nil) {
+			t.Fatalf("strict error mismatch: Scan %v, ScanBox %v", strictErr, boxErr)
 		}
-		if strictErr == nil && !reflect.DeepEqual(strict.Records, old) {
-			t.Fatal("RangeIntervals diverges from strict Scan")
+		if strictErr == nil && !reflect.DeepEqual(strict.Records, strictBox.Records) {
+			t.Fatal("strict ScanBox diverges from strict Scan")
 		}
 	}
 }
@@ -104,14 +97,8 @@ func TestScanWrappersDelegate(t *testing.T) {
 // contract.
 func TestScanStrictFailsOnDarkPage(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	c, recs, st := buildStore(t, u, "hilbert", 1200, 7, store.Config{PageSize: 8, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 3, LostPages: []int{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	c, recs, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, nil))
 	ctx := context.Background()
 	full := []query.Interval{{Lo: 0, Hi: u.N()}}
 	if _, err := st.Scan(ctx, full, store.ScanStrict()); !errors.Is(err, store.ErrPageUnavailable) {
@@ -145,7 +132,7 @@ func TestScanStrictFailsOnDarkPage(t *testing.T) {
 // context's error and no fabricated partial result.
 func TestScanContextCanceled(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 1200, 11, store.Config{PageSize: 4, Fanout: 4})
+	_, _, st := buildStore(t, u, "z", 1200, 11, store.WithPageSize(4), store.WithFanout(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := st.Scan(ctx, []query.Interval{{Lo: 0, Hi: u.N()}})

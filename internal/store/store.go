@@ -252,7 +252,7 @@ func (st *Store) ResetStats() { st.stats.reset() }
 func (st *Store) Device() PageDevice { return st.device }
 
 // DefaultDevice returns the trusted in-memory device built at bulkload, so
-// a fallible device installed with WithDevice/SetDevice can be removed
+// a fallible device installed with WithDevice can be removed
 // again.
 func (st *Store) DefaultDevice() PageDevice { return st.mem }
 
@@ -272,13 +272,6 @@ func (st *Store) setDevice(dev PageDevice) error {
 	return nil
 }
 
-// SetDevice routes leaf reads through dev. Not safe to call concurrently
-// with queries — install devices before serving.
-//
-// Deprecated: prefer the WithDevice or WithDeviceWrapper Bulkload options,
-// which configure the device before the store is ever queried.
-func (st *Store) SetDevice(dev PageDevice) error { return st.setDevice(dev) }
-
 // setRetryPolicy replaces the retry policy used for fallible devices.
 // Zero fields take their defaults.
 func (st *Store) setRetryPolicy(rp RetryPolicy) error {
@@ -289,12 +282,6 @@ func (st *Store) setRetryPolicy(rp RetryPolicy) error {
 	st.retry = rp
 	return nil
 }
-
-// SetRetryPolicy replaces the retry policy used for fallible devices. Not
-// safe to call concurrently with queries.
-//
-// Deprecated: prefer the WithRetryPolicy Bulkload option.
-func (st *Store) SetRetryPolicy(rp RetryPolicy) error { return st.setRetryPolicy(rp) }
 
 // fetchPage reads one leaf page through the device, retrying transient
 // failures and checksum rejections up to the retry budget with simulated
@@ -367,47 +354,24 @@ func (st *Store) descend(target uint64) int {
 	return sort.Search(len(st.keys), func(i int) bool { return st.keys[i] >= target })
 }
 
-// RangeQuery returns all records inside the box, charging one descent per
-// curve interval and one leaf read per distinct leaf page touched. It is
-// strict: the first page that stays unavailable after the retry budget
-// fails the whole query (errors.Is(err, ErrPageUnavailable)). Use
-// RangeQueryDegraded to get partial results with an explicit report of the
-// unserved curve intervals instead.
-//
-// Deprecated: use ScanBox with ScanStrict.
-func (st *Store) RangeQuery(b query.Box) ([]Record, error) {
-	return st.RangeContext(context.Background(), b)
-}
-
-// RangeContext is RangeQuery honoring a context: cancellation and deadline
-// are checked between leaf page reads, so a query over many pages stops
-// within one page fetch of the context ending.
-//
-// Deprecated: use ScanBox with ScanStrict.
-func (st *Store) RangeContext(ctx context.Context, b query.Box) ([]Record, error) {
-	return st.RangeIntervals(ctx, query.DecomposeBox(st.c, b))
-}
-
-// RangeIntervals answers a pre-decomposed strict query over sorted,
-// disjoint curve intervals and returns the records whose keys they contain,
-// in curve order.
-//
-// Deprecated: use Scan with ScanStrict.
-func (st *Store) RangeIntervals(ctx context.Context, ivs []query.Interval) ([]Record, error) {
-	res, err := st.Scan(ctx, ivs, ScanStrict())
-	if err != nil {
-		return nil, err
-	}
-	return res.Records, nil
-}
-
-// BoxQuery is the historical entry point: it answers the box query in
-// degraded mode and returns just the records. With the default in-memory
-// device reads cannot fail and BoxQuery is exactly RangeQuery; with a
+// BoxQuery answers the box query in degraded mode and returns just the
+// records. With the default in-memory device reads cannot fail; with a
 // fallible device, records on dark pages are omitted — callers that need
-// to know *which* curve intervals went dark must use RangeQueryDegraded.
+// to know *which* curve intervals went dark use ScanBox.
 func (st *Store) BoxQuery(b query.Box) []Record {
-	return st.RangeQueryDegraded(b).Records
+	res, _ := st.ScanBox(context.Background(), b)
+	return res.Records
+}
+
+// pageKeySpan returns the half-open curve-key range [first, last+1] covered
+// by the records of the given page.
+func (st *Store) pageKeySpan(page int) query.Interval {
+	lo := page * st.pageSize
+	hi := lo + st.pageSize
+	if hi > len(st.keys) {
+		hi = len(st.keys)
+	}
+	return query.Interval{Lo: st.keys[lo], Hi: st.keys[hi-1] + 1}
 }
 
 // PointQuery returns the records stored exactly at p, charging one descent

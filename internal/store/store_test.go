@@ -25,16 +25,16 @@ func randomRecords(u *grid.Universe, n int, seed int64) []Record {
 func TestBulkloadValidation(t *testing.T) {
 	u := grid.MustNew(2, 3)
 	z := curve.NewZ(u)
-	if _, err := Bulkload(z, []Record{{Point: grid.Point{99, 0}}}, Config{}); err == nil {
+	if _, err := Bulkload(z, []Record{{Point: grid.Point{99, 0}}}); err == nil {
 		t.Fatal("out-of-universe record accepted")
 	}
-	if _, err := Bulkload(z, nil, Config{PageSize: 1}); err == nil {
+	if _, err := Bulkload(z, nil, WithPageSize(1)); err == nil {
 		t.Fatal("page size 1 accepted")
 	}
-	if _, err := Bulkload(z, nil, Config{Fanout: 1}); err == nil {
+	if _, err := Bulkload(z, nil, WithFanout(1)); err == nil {
 		t.Fatal("fanout 1 accepted")
 	}
-	st, err := Bulkload(z, nil, Config{})
+	st, err := Bulkload(z, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRecordsSortedAndComplete(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	h := curve.NewHilbert(u)
 	recs := randomRecords(u, 3000, 1)
-	st, err := Bulkload(h, recs, Config{PageSize: 16, Fanout: 8})
+	st, err := Bulkload(h, recs, WithPageSize(16), WithFanout(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBoxQueryMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Bulkload(c, recs, Config{PageSize: 32, Fanout: 16})
+		st, err := Bulkload(c, recs, WithPageSize(32), WithFanout(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestPointQuery(t *testing.T) {
 		{Point: u.MustPoint(3, 4), Payload: 2},
 		{Point: u.MustPoint(9, 9), Payload: 3},
 	}
-	st, err := Bulkload(z, recs, Config{PageSize: 2, Fanout: 2})
+	st, err := Bulkload(z, recs, WithPageSize(2), WithFanout(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBoxQueryIOFragmentationOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Bulkload(c, recs, Config{PageSize: 32, Fanout: 16})
+		st, err := Bulkload(c, recs, WithPageSize(32), WithFanout(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestNeighborSweepLocalityOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := Bulkload(c, recs, Config{PageSize: 32, Fanout: 16})
+		st, err := Bulkload(c, recs, WithPageSize(32), WithFanout(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestNeighborSweepLocalityOrdering(t *testing.T) {
 	}
 	// Cache validation.
 	c := curve.NewZ(u)
-	st, err := Bulkload(c, recs[:10], Config{})
+	st, err := Bulkload(c, recs[:10])
 	if err != nil {
 		t.Fatal(err)
 	}
