@@ -13,9 +13,9 @@
 // (/query /scan /digest /put /delete /flush /metrics /healthz /readyz
 // /wireinfo, and with -wire-addr the binary protocol, streaming merged
 // TBatch frames segment by segment), admission control, deadline clamping,
-// Retry-After and drain are inherited, so clients (internal/client,
-// cmd/sfcserve -remote) work against a router unchanged. /topology, the
-// live ownership ledger, is the one endpoint it adds.
+// Retry-After and drain are inherited, so clients (internal/client, curl)
+// work against a router unchanged. /topology, the live ownership ledger, is
+// the one endpoint it adds.
 //
 // With -write-quorum W ≥ 1 the write endpoints fan each write out to every
 // live replica of the owning segment and acknowledge once W members have

@@ -29,7 +29,7 @@
 //	sfcserved -max-inflight 16 -queue-wait 50ms -drain-timeout 10s -pprof
 //	sfcserved -addr 127.0.0.1:7181 -cluster-nodes 3 -cluster-node 0 -cluster-replicas 2
 //
-// Query it with cmd/sfcserve's -remote mode or any HTTP client:
+// Query it with internal/client or any HTTP client:
 //
 //	curl 'http://127.0.0.1:7171/query?lo=3,4&hi=9,12&timeout=250ms'
 package main

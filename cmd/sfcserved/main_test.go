@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,15 +33,19 @@ func testConfig() config {
 }
 
 // TestRunServesAndDrainsCleanly is the daemon lifecycle end to end: run
-// binds :0, answers a query over the wire, and returns nil — the process's
-// exit-0 path — once the signal context is canceled.
+// binds :0 on both doors, answers one box through the JSON door and through
+// the binary door (-wire-addr, found via /wireinfo) with the same records
+// in the same order, and returns nil — the process's exit-0 path — once the
+// signal context is canceled.
 func TestRunServesAndDrainsCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	addrc := make(chan string, 1)
 	done := make(chan error, 1)
 	var out strings.Builder
+	cfg := testConfig()
+	cfg.wireAddr = "127.0.0.1:0"
 	go func() {
-		done <- run(ctx, testConfig(), func(a string) { addrc <- a }, &out)
+		done <- run(ctx, cfg, func(a string) { addrc <- a }, &out)
 	}()
 
 	var addr string
@@ -68,6 +73,21 @@ func TestRunServesAndDrainsCleanly(t *testing.T) {
 	if len(resp.Records) != 2000 || !resp.Complete {
 		t.Fatalf("full-universe box returned %d records (complete=%v), want all 2000",
 			len(resp.Records), resp.Complete)
+	}
+
+	wireAddr, err := cl.WireAddr(context.Background())
+	if err != nil || wireAddr == "" {
+		t.Fatalf("daemon does not advertise its binary door: %q, %v", wireAddr, err)
+	}
+	binCl := client.New("http://"+addr, client.WithTransport(&client.BinaryTransport{Addr: wireAddr}))
+	defer binCl.Close()
+	binResp, err := binCl.QueryBox(context.Background(), b, client.WithTimeout(time.Minute))
+	if err != nil {
+		t.Fatalf("binary door: %v", err)
+	}
+	if !binResp.Complete || !reflect.DeepEqual(binResp.Records, resp.Records) {
+		t.Fatalf("binary door returned %d records (complete=%v), want the JSON door's %d record for record",
+			len(binResp.Records), binResp.Complete, len(resp.Records))
 	}
 
 	cancel() // the SIGTERM path

@@ -39,12 +39,6 @@ type BinaryTransport struct {
 	// DialTimeout bounds each connection attempt (default
 	// DefaultDialTimeout).
 	DialTimeout time.Duration
-	// Compress asks the server to deflate large response frames
-	// (wire.FlagCompress on every request). Enable it only against a
-	// daemon whose /wireinfo advertised compression — an older daemon
-	// rejects the flags byte as a bad request. Decompression is
-	// transparent: batches arrive decoded either way.
-	Compress bool
 
 	initOnce sync.Once
 	slots    []*connSlot
@@ -120,7 +114,7 @@ func (t *BinaryTransport) QueryStream(ctx context.Context, b query.Box, timeout 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := wire.AppendQueryRequest(nil, wire.QueryRequest{Lo: b.Lo, Hi: b.Hi, Timeout: eff, Compress: t.Compress})
+	payload, err := wire.AppendQueryRequest(nil, wire.QueryRequest{Lo: b.Lo, Hi: b.Hi, Timeout: eff})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +139,7 @@ func (t *BinaryTransport) ScanStream(ctx context.Context, ivs []query.Interval, 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{Ivs: ivs, Timeout: eff, Compress: t.Compress})
+	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{Ivs: ivs, Timeout: eff})
 	if err != nil {
 		return nil, err
 	}

@@ -83,9 +83,10 @@ func retryable(err error) *RetryableError {
 	return &RetryableError{RetryAfter: -1, Err: err}
 }
 
-// JSONTransport speaks the daemon's HTTP/JSON protocol — today's wire
-// format, kept as the compatibility and debugging path. The zero value is
-// not usable; set Base.
+// JSONTransport speaks the daemon's HTTP/JSON protocol: the door every
+// daemon opens, the one curl can drive, and the only one that carries
+// /digest, /wireinfo and the health endpoints. The zero value is not
+// usable; set Base.
 type JSONTransport struct {
 	// Base is the daemon's HTTP base URL, e.g. "http://127.0.0.1:7171".
 	Base string

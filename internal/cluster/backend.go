@@ -45,20 +45,20 @@ func (s backendStream) Trailer() service.Result {
 	return service.Result{Unavailable: tr.Unavailable, ShardsQueried: tr.NodesQueried, PagesRead: tr.PagesRead}
 }
 
-// Digest folds a routed scan of ivs; a range with dark intervals has no
-// digest worth comparing.
+// Digest folds a routed scan of ivs segment by segment; a range with dark
+// intervals has no digest worth comparing.
 func (b routerBackend) Digest(ctx context.Context, ivs []query.Interval) (service.RangeDigest, error) {
-	res, err := b.Scan(ctx, ivs)
+	st, err := b.Router.ScanStream(ctx, ivs)
 	if err != nil {
 		return service.RangeDigest{}, err
 	}
-	if !res.Complete() {
-		return service.RangeDigest{}, fmt.Errorf("%w: cluster: digest: %d dark intervals", server.ErrUnavailable, len(res.Unavailable))
-	}
+	defer st.Close()
 	var d service.RangeDigest
-	c := b.topo.Curve()
-	for i := range res.Records {
-		d.Fold(c.Index(res.Records[i].Point), res.Records[i].Payload)
+	if err := d.FoldStream(b.topo.Curve(), st.Next); err != nil {
+		return service.RangeDigest{}, err
+	}
+	if tr := st.Trailer(); !tr.Complete() {
+		return service.RangeDigest{}, fmt.Errorf("%w: cluster: digest: %d dark intervals", server.ErrUnavailable, len(tr.Unavailable))
 	}
 	return d, nil
 }

@@ -236,7 +236,7 @@ func (rt *Router) ScanStream(ctx context.Context, ivs []query.Interval) (*Stream
 	var jobs []job
 	for j := 0; j < rt.topo.Nodes(); j++ {
 		lo, hi := rt.topo.Segment(j)
-		clipped := clipIntervals(ivs, lo, hi)
+		clipped := query.ClipIntervals(ivs, lo, hi)
 		if len(clipped) == 0 {
 			continue
 		}
@@ -621,28 +621,6 @@ func (rt *Router) Snapshot() []NodeStatus {
 			st.Owns = query.Interval{Lo: lo, Hi: hi}
 		}
 		out[j] = st
-	}
-	return out
-}
-
-// clipIntervals restricts sorted disjoint intervals to the half-open
-// segment [lo, hi).
-func clipIntervals(ivs []query.Interval, lo, hi uint64) []query.Interval {
-	var out []query.Interval
-	for _, iv := range ivs {
-		if iv.Lo >= hi {
-			break // sorted: nothing further intersects
-		}
-		a, b := iv.Lo, iv.Hi
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if a < b {
-			out = append(out, query.Interval{Lo: a, Hi: b})
-		}
 	}
 	return out
 }

@@ -229,6 +229,29 @@ func MergeIntervals(ivs []Interval) []Interval {
 	return out
 }
 
+// ClipIntervals restricts sorted disjoint intervals to the half-open
+// segment [lo, hi): how a shard or a cluster member is handed only the part
+// of a decomposition it owns. The result is nil when nothing intersects.
+func ClipIntervals(ivs []Interval, lo, hi uint64) []Interval {
+	var out []Interval
+	for _, iv := range ivs {
+		if iv.Lo >= hi {
+			break // sorted: nothing further intersects
+		}
+		a, b := iv.Lo, iv.Hi
+		if a < lo {
+			a = lo
+		}
+		if b > hi {
+			b = hi
+		}
+		if a < b {
+			out = append(out, Interval{Lo: a, Hi: b})
+		}
+	}
+	return out
+}
+
 // IntervalsContain reports whether key lies in any of the sorted, disjoint
 // intervals, by binary search.
 func IntervalsContain(ivs []Interval, key uint64) bool {

@@ -164,6 +164,43 @@ func TestMergeIntervals(t *testing.T) {
 	}
 }
 
+func TestClipIntervals(t *testing.T) {
+	ivs := []Interval{{2, 5}, {8, 12}, {20, 30}}
+	for _, tc := range []struct {
+		name   string
+		in     []Interval
+		lo, hi uint64
+		want   []Interval
+	}{
+		{"nil input", nil, 0, 10, nil},
+		{"segment before everything", ivs, 0, 2, nil},
+		{"segment in a gap", ivs, 5, 8, nil},
+		{"segment after everything", ivs, 30, 40, nil},
+		{"empty segment", ivs, 9, 9, nil},
+		{"segment covers everything", ivs, 0, 100, ivs},
+		{"interval straddles lo", ivs, 3, 100, []Interval{{3, 5}, {8, 12}, {20, 30}}},
+		{"interval straddles hi", ivs, 0, 10, []Interval{{2, 5}, {8, 10}}},
+		{"one interval straddles both ends", ivs, 21, 29, []Interval{{21, 29}}},
+		{"lo and hi in different intervals", ivs, 4, 25, []Interval{{4, 5}, {8, 12}, {20, 25}}},
+		{"interval ending at lo is dropped", ivs, 5, 9, []Interval{{8, 9}}},
+		// The early break trusts sorted input: an interval placed after one
+		// that starts at or past hi is never looked at.
+		{"stops at the first interval past hi", []Interval{{2, 5}, {40, 50}, {6, 7}}, 0, 10, []Interval{{2, 5}}},
+	} {
+		got := ClipIntervals(tc.in, tc.lo, tc.hi)
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: clip to [%d, %d) = %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+			continue
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: clip to [%d, %d) = %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+				break
+			}
+		}
+	}
+}
+
 func randomPoints(u *grid.Universe, n int, seed int64) []grid.Point {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]grid.Point, n)

@@ -53,15 +53,10 @@ type ErrorResponse struct {
 type WireInfo struct {
 	// Addr is the "host:port" of the binary wire listener.
 	Addr string `json:"addr"`
-	// Compress reports that the listener honors per-request compression
-	// (wire.FlagCompress): deflated response frames for clients that ask.
-	// Clients must not send the request flags byte to a daemon that did
-	// not advertise it.
-	Compress bool `json:"compress,omitempty"`
-	// Write reports that the listener accepts TPut/TDelete/TFlush frames —
-	// only durable (-data) daemons advertise it. A router probing a daemon
-	// without the capability must route writes through the HTTP /put form
-	// instead of sending frames the daemon will drop the connection over.
+	// Write reports that TPut/TDelete/TFlush frames will be applied: only
+	// a daemon with a write path (sfcserved -data, or a router) advertises
+	// it. Every daemon accepts the frames; one without a write path
+	// answers each with TError CodeReadOnly and keeps the connection.
 	Write bool `json:"write,omitempty"`
 }
 

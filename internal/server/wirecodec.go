@@ -54,8 +54,7 @@ func (s *Server) ServeWire(l net.Listener) error {
 func (s *Server) AdvertiseWire(addr string) { s.wireAdvert.Store(addr) }
 
 // handleWireInfo answers GET /wireinfo: the advertised binary listener,
-// or 404 when the daemon does not serve the binary protocol. Compress
-// advertises per-frame deflate support; clients opt in per request. Write
+// or 404 when the daemon does not serve the binary protocol. Write
 // reports whether the backend has a write path; the TPut/TDelete/TFlush
 // frames are accepted either way and answered CodeReadOnly without one.
 func (s *Server) handleWireInfo(w http.ResponseWriter, r *http.Request) {
@@ -66,7 +65,7 @@ func (s *Server) handleWireInfo(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(ErrorResponse{Error: "binary protocol not served"})
 		return
 	}
-	json.NewEncoder(w).Encode(WireInfo{Addr: addr, Compress: true, Write: s.b.Writable()})
+	json.NewEncoder(w).Encode(WireInfo{Addr: addr, Write: s.b.Writable()})
 }
 
 // wireWriter serializes whole-frame writes to one connection, so frames
@@ -103,12 +102,10 @@ const segmentBytes = 1 << 18
 // TError frame — the protocol's promise that a missing trailer always comes
 // with a reason or a dead connection.
 type wireExchange struct {
-	s        *Server
-	w        *wireWriter
-	f        wire.Frame
-	compress bool
-	buf      []byte
-	scratch  []byte // payload staging when compressing
+	s   *Server
+	w   *wireWriter
+	f   wire.Frame
+	buf []byte
 }
 
 func (x *wireExchange) decode() (request, error) {
@@ -121,13 +118,13 @@ func (x *wireExchange) decode() (request, error) {
 		if q, err = wire.DecodeQueryRequest(x.f.Payload); err != nil {
 			break
 		}
-		req.timeout, x.compress = q.Timeout, q.Compress
+		req.timeout = q.Timeout
 		req.box, err = query.NewBox(x.s.b.Curve().Universe(), q.Lo, q.Hi)
 	case wire.TScan:
 		req.op = opScan
 		var q wire.ScanRequest
 		q, err = wire.DecodeScanRequest(x.f.Payload)
-		req.ivs, req.timeout, x.compress = q.Ivs, q.Timeout, q.Compress
+		req.ivs, req.timeout = q.Ivs, q.Timeout
 	case wire.TPut, wire.TDelete:
 		req.op = opPut
 		if x.f.Type == wire.TDelete {
@@ -148,34 +145,20 @@ func (x *wireExchange) decode() (request, error) {
 	return req, nil
 }
 
-// batch encodes recs as TBatch frames of at most DefaultBatchRecords each.
-// When the request negotiated compression, payloads of at least
-// wire.MinCompressSize are deflated; the plain path encodes straight into
-// the segment buffer with no intermediate copy.
+// batch encodes recs as TBatch frames of at most DefaultBatchRecords each,
+// straight into the segment buffer with no intermediate copy.
 func (x *wireExchange) batch(recs []store.Record) error {
 	for len(recs) > 0 {
 		n := len(recs)
 		if n > wire.DefaultBatchRecords {
 			n = wire.DefaultBatchRecords
 		}
-		if x.compress {
-			var err error
-			x.scratch, err = wire.AppendBatchPayload(x.scratch[:0], recs[:n])
-			if err != nil {
-				return classed{failInternal, err}
-			}
-			x.buf, err = wire.AppendCompressedFrame(x.buf, wire.Frame{Type: wire.TBatch, ID: x.f.ID, Payload: x.scratch})
-			if err != nil {
-				return classed{failInternal, err}
-			}
-		} else {
-			start := len(x.buf)
-			buf, err := wire.AppendBatchPayload(wire.BeginFrame(x.buf, wire.TBatch, x.f.ID), recs[:n])
-			if err != nil {
-				return classed{failInternal, err}
-			}
-			x.buf = wire.FinishFrame(buf, start)
+		start := len(x.buf)
+		buf, err := wire.AppendBatchPayload(wire.BeginFrame(x.buf, wire.TBatch, x.f.ID), recs[:n])
+		if err != nil {
+			return classed{failInternal, err}
 		}
+		x.buf = wire.FinishFrame(buf, start)
 		recs = recs[n:]
 		if len(x.buf) >= segmentBytes {
 			if err := x.flush(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -235,8 +236,10 @@ func TestWirePingAndDrain(t *testing.T) {
 	}
 }
 
-// TestWireProtocolViolation: a client sending a response-direction frame
-// gets its connection dropped, not a hung stream.
+// TestWireProtocolViolation: a client sending a response-direction frame,
+// or a request frame with the high type bit set (checksum valid: it is the
+// type check that refuses it), gets its connection dropped, not a hung
+// stream.
 func TestWireProtocolViolation(t *testing.T) {
 	svc := newTestService(t, 0)
 	srv, err := server.New(svc)
@@ -245,20 +248,28 @@ func TestWireProtocolViolation(t *testing.T) {
 	}
 	addr := startWire(t, srv)
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.TTrailer, ID: 1})); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := c.Read(buf); err == nil {
-		t.Fatal("server answered a response-direction frame instead of closing")
-	} else if strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("server hung instead of closing: %v", err)
+	highBit := wire.AppendFrame(nil, wire.Frame{Type: wire.TPing, ID: 2})
+	highBit[3] |= 0x80
+	wire.FinishFrame(highBit, 0)
+	for name, frame := range map[string][]byte{
+		"response-direction frame": wire.AppendFrame(nil, wire.Frame{Type: wire.TTrailer, ID: 1}),
+		"high type bit":            highBit,
+	} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 1)
+		if _, err := c.Read(buf); err == nil {
+			t.Fatalf("%s: server answered instead of closing", name)
+		} else if strings.Contains(err.Error(), "timeout") {
+			t.Fatalf("%s: server hung instead of closing: %v", name, err)
+		}
 	}
 }
 
@@ -289,7 +300,8 @@ func TestWireDeadline(t *testing.T) {
 }
 
 // TestWireInfoAdvertisement: /wireinfo is 404 until AdvertiseWire, then
-// serves the address; client.WireAddr mirrors both states.
+// serves the address and nothing else for a read-only daemon (no
+// negotiable feature is advertised); client.WireAddr mirrors both states.
 func TestWireInfoAdvertisement(t *testing.T) {
 	svc := newTestService(t, 0)
 	srv, err := server.New(svc)
@@ -311,6 +323,18 @@ func TestWireInfoAdvertisement(t *testing.T) {
 	srv.AdvertiseWire("127.0.0.1:7173")
 	if addr, err := c.WireAddr(context.Background()); err != nil || addr != "127.0.0.1:7173" {
 		t.Fatalf("after advertise: %q, %v", addr, err)
+	}
+	resp, err := http.Get(base + "/wireinfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(body)); got != `{"addr":"127.0.0.1:7173"}` {
+		t.Fatalf("/wireinfo body %s, want only the address", got)
 	}
 
 	var drainErr error

@@ -15,114 +15,52 @@ import (
 	"repro/internal/wire"
 )
 
-// TestWireCompressedScanMatchesPlain: a scan with the compression flag
-// returns bit-identical records and trailer to the in-process service —
-// decompression is transparent in the client — and the frames on the wire
-// actually carry the compressed bit, so the flag is not silently ignored.
-func TestWireCompressedScanMatchesPlain(t *testing.T) {
+// TestWireTrailingFlagsByteIsBadRequest: a request payload has one legal
+// length. A TScan carrying a trailing flags byte is answered with one
+// TError CodeBadRequest and no records, and the connection stays usable.
+func TestWireTrailingFlagsByteIsBadRequest(t *testing.T) {
 	svc := newTestService(t, 0)
 	srv, err := server.New(svc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startWire(t, srv)
-
-	n := svc.Curve().Universe().N()
-	ivs := []query.Interval{{Lo: 0, Hi: n}}
-	want, err := svc.Scan(context.Background(), ivs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := &client.BinaryTransport{Addr: addr, Compress: true}
-	defer tr.Close()
-	st, err := tr.ScanStream(context.Background(), ivs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	i := 0
-	for {
-		batch, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range batch {
-			if !r.Point.Equal(want.Records[i].Point) || r.Payload != want.Records[i].Payload {
-				t.Fatalf("record %d differs under compression: %v/%d want %v/%d",
-					i, r.Point, r.Payload, want.Records[i].Point, want.Records[i].Payload)
-			}
-			i++
-		}
-	}
-	if i != len(want.Records) {
-		t.Fatalf("streamed %d records, want %d", i, len(want.Records))
-	}
-	trailer, ok := st.Trailer()
-	if !ok || trailer.PagesRead != want.PagesRead || !trailer.Complete() {
-		t.Fatalf("trailer %+v (ok=%v), want pages=%d complete", trailer, ok, want.PagesRead)
-	}
-
-	// Raw socket: the same request must produce at least one frame with
-	// the compressed bit set, and the compressed response must be smaller
-	// than the plain one end to end.
-	compressedTypes, compressedBytes := rawScanFrames(t, addr, ivs, true)
-	_, plainBytes := rawScanFrames(t, addr, ivs, false)
-	sawCompressed := false
-	for _, typ := range compressedTypes {
-		if typ&wire.CompressedBit != 0 {
-			sawCompressed = true
-			if typ&^wire.CompressedBit != wire.TBatch {
-				t.Fatalf("compressed bit on type 0x%02x, only batches should compress", typ)
-			}
-		}
-	}
-	if !sawCompressed {
-		t.Fatal("no compressed frame on the wire despite the negotiated flag")
-	}
-	if compressedBytes >= plainBytes {
-		t.Fatalf("compressed response %d bytes, plain %d: compression did not shrink the transfer", compressedBytes, plainBytes)
-	}
-}
-
-// rawScanFrames sends one TScan over a raw socket and reads response frame
-// headers without decompressing, returning the on-wire type bytes and the
-// total response size.
-func rawScanFrames(t *testing.T, addr string, ivs []query.Interval, compress bool) ([]byte, int) {
-	t.Helper()
-	c, err := net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", startWire(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{Ivs: ivs, Compress: compress})
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+
+	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{
+		Ivs: []query.Interval{{Lo: 0, Hi: svc.Curve().Universe().N()}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.TScan, ID: 1, Payload: payload})); err != nil {
+	req := wire.AppendFrame(nil, wire.Frame{Type: wire.TScan, ID: 7, Payload: append(payload, 0x01)})
+	req = wire.AppendFrame(req, wire.Frame{Type: wire.TPing, ID: 8})
+	if _, err := c.Write(req); err != nil {
 		t.Fatal(err)
 	}
-	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var types []byte
-	total := 0
-	hdr := make([]byte, wire.HeaderSize)
-	for {
-		if _, err := io.ReadFull(c, hdr); err != nil {
-			t.Fatalf("reading frame header: %v", err)
+	sawPong := false
+	for i := 0; i < 2; i++ {
+		f, err := wire.ReadFrame(c)
+		if err != nil {
+			t.Fatalf("reading answer %d: %v", i, err)
 		}
-		typ := hdr[3]
-		types = append(types, typ)
-		n := int(binary.LittleEndian.Uint32(hdr[12:16]))
-		if _, err := io.CopyN(io.Discard, c, int64(n)); err != nil {
-			t.Fatalf("reading frame payload: %v", err)
+		switch {
+		case f.ID == 7 && f.Type == wire.TError:
+			if e, err := wire.DecodeErrorPayload(f.Payload); err != nil || e.Code != wire.CodeBadRequest {
+				t.Fatalf("flagged scan: %+v, %v, want CodeBadRequest", e, err)
+			}
+		case f.ID == 8 && f.Type == wire.TPong:
+			sawPong = true
+		default:
+			t.Fatalf("unexpected frame type 0x%02x for id %d", f.Type, f.ID)
 		}
-		total += wire.HeaderSize + n
-		if base := typ &^ wire.CompressedBit; base == wire.TTrailer || base == wire.TError {
-			return types, total
-		}
+	}
+	if !sawPong {
+		t.Fatal("the ping pipelined behind the refused scan was never answered")
 	}
 }
 
@@ -213,7 +151,7 @@ func TestWireTornConnectionTruncated(t *testing.T) {
 				return
 			}
 			n := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-			if hdr[3]&^wire.CompressedBit == wire.TTrailer {
+			if hdr[3] == wire.TTrailer {
 				// Forward the header and half the payload, then tear the
 				// connection: the torn-tail shape a crash leaves behind.
 				cc.Write(hdr)

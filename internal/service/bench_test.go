@@ -13,9 +13,9 @@ import (
 )
 
 // BenchmarkServiceRange measures sharded query throughput across shard
-// counts on a zipf-skewed box workload (the same shape cmd/sfcserve
-// replays), with the decomposition cache on and off. The CI smoke step
-// runs this at -benchtime 1x just to prove it still executes.
+// counts on a zipf-skewed box workload (the shape of the benchmark's
+// hot_small_* traces), with the decomposition cache on and off. The CI
+// smoke step runs this at -benchtime 1x just to prove it still executes.
 func BenchmarkServiceRange(b *testing.B) {
 	u := grid.MustNew(2, 6)
 	c := curve.NewHilbert(u)

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
+	"repro/internal/curve"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // ErrDigestUnavailable is returned (wrapped) by Digest when some requested
@@ -51,21 +54,40 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// FoldStream folds every record of a scan stream, batch by batch, until
+// next reports io.EOF: a digest holds one batch at a time, never the range.
+// Any other error from next is returned as is.
+func (d *RangeDigest) FoldStream(c curve.Curve, next func() ([]store.Record, error)) error {
+	for {
+		recs, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for i := range recs {
+			d.Fold(c.Index(recs[i].Point), recs[i].Payload)
+		}
+	}
+}
+
 // Digest scans ivs and folds every readable record into a RangeDigest. If
 // any part of the range is dark the digest fails with a wrapped
 // ErrDigestUnavailable — anti-entropy must not "repair" toward a replica
 // that cannot currently see its own data.
 func (s *Service) Digest(ctx context.Context, ivs []query.Interval) (RangeDigest, error) {
-	res, err := s.Scan(ctx, ivs)
+	st, err := s.ScanStream(ctx, ivs)
 	if err != nil {
 		return RangeDigest{}, fmt.Errorf("service: digest: %w", err)
 	}
-	if !res.Complete() {
-		return RangeDigest{}, fmt.Errorf("service: digest: %d dark intervals: %w", len(res.Unavailable), ErrDigestUnavailable)
-	}
+	defer st.Close()
 	var d RangeDigest
-	for i := range res.Records {
-		d.Fold(s.c.Index(res.Records[i].Point), res.Records[i].Payload)
+	if err := d.FoldStream(s.c, st.Next); err != nil {
+		return RangeDigest{}, fmt.Errorf("service: digest: %w", err)
+	}
+	if tr := st.Trailer(); !tr.Complete() {
+		return RangeDigest{}, fmt.Errorf("service: digest: %d dark intervals: %w", len(tr.Unavailable), ErrDigestUnavailable)
 	}
 	for _, dur := range s.durables {
 		d.Generation += dur.LastSeq()

@@ -265,21 +265,6 @@ func (s *Service) scanIntervals(ctx context.Context, ivs []query.Interval) (Resu
 	return st.Collect()
 }
 
-// RangeBatch answers the boxes in order, reusing the decomposition cache
-// across them, and stops at the first error (context cancellation or
-// shutdown). Results align with the prefix of boxes served.
-func (s *Service) RangeBatch(ctx context.Context, boxes []query.Box) ([]Result, error) {
-	out := make([]Result, 0, len(boxes))
-	for _, b := range boxes {
-		r, err := s.Range(ctx, b)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // CacheLen returns the number of retained decompositions.
 func (s *Service) CacheLen() int { return s.cache.len() }
 
@@ -303,26 +288,4 @@ func (s *Service) Close() error {
 		}
 	}
 	return err
-}
-
-// clipIntervals restricts sorted disjoint intervals to the half-open
-// segment [lo, hi).
-func clipIntervals(ivs []query.Interval, lo, hi uint64) []query.Interval {
-	var out []query.Interval
-	for _, iv := range ivs {
-		if iv.Lo >= hi {
-			break // sorted: nothing further intersects
-		}
-		a, b := iv.Lo, iv.Hi
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if a < b {
-			out = append(out, query.Interval{Lo: a, Hi: b})
-		}
-	}
-	return out
 }

@@ -99,7 +99,7 @@ func (s *Service) openStream(ctx context.Context, ivs []query.Interval) (*Stream
 	jobs := make([]job, 0, len(s.scanners))
 	for j := range s.scanners {
 		lo, hi := s.pt.Segment(j)
-		if clipped := clipIntervals(ivs, lo, hi); len(clipped) > 0 {
+		if clipped := query.ClipIntervals(ivs, lo, hi); len(clipped) > 0 {
 			jobs = append(jobs, job{shard: j, ivs: clipped})
 		}
 	}

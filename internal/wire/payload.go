@@ -30,18 +30,13 @@ const (
 )
 
 // QueryRequest is the TQuery payload: a box query plus the server-side
-// deadline. The flags byte is appended only when some flag is set, so
-// flagless requests keep the exact version-1 encoding; servers accept both
-// lengths and reject unknown flag bits.
+// deadline. The payload has exactly one legal length for its d; a trailing
+// byte is ErrCorrupt.
 //
-//	timeout u64 (ns) | d u8 | d×u32 lo | d×u32 hi | [flags u8]
+//	timeout u64 (ns) | d u8 | d×u32 lo | d×u32 hi
 type QueryRequest struct {
 	Lo, Hi  grid.Point
 	Timeout time.Duration // server-side deadline; 0 = server default
-	// Compress asks the server to deflate large response frames
-	// (FlagCompress). Set it only against a server whose /wireinfo
-	// advertised compression — an older server rejects the flags byte.
-	Compress bool
 }
 
 // AppendQueryRequest appends q's payload encoding to dst.
@@ -61,9 +56,6 @@ func AppendQueryRequest(dst []byte, q QueryRequest) ([]byte, error) {
 	for _, c := range q.Hi {
 		dst = appendU32(dst, c)
 	}
-	if q.Compress {
-		dst = append(dst, FlagCompress)
-	}
 	return dst, nil
 }
 
@@ -77,8 +69,7 @@ func DecodeQueryRequest(b []byte) (QueryRequest, error) {
 	if d < 1 || d > MaxDims {
 		return QueryRequest{}, fmt.Errorf("%w: query request %d dims outside [1, %d]", ErrCorrupt, d, MaxDims)
 	}
-	base := 9 + 8*d
-	if len(b) != base && len(b) != base+1 {
+	if len(b) != 9+8*d {
 		return QueryRequest{}, fmt.Errorf("%w: query request %d bytes for %d dims", ErrCorrupt, len(b), d)
 	}
 	q := QueryRequest{
@@ -88,13 +79,6 @@ func DecodeQueryRequest(b []byte) (QueryRequest, error) {
 	}
 	if q.Timeout < 0 {
 		return QueryRequest{}, fmt.Errorf("%w: timeout overflows", ErrCorrupt)
-	}
-	if len(b) == base+1 {
-		flags := b[base]
-		if flags&^FlagCompress != 0 {
-			return QueryRequest{}, fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags)
-		}
-		q.Compress = flags&FlagCompress != 0
 	}
 	for i := 0; i < d; i++ {
 		q.Lo[i] = readU32(b[9+4*i:])
@@ -107,17 +91,13 @@ func DecodeQueryRequest(b []byte) (QueryRequest, error) {
 
 // ScanRequest is the TScan payload: raw curve intervals plus the
 // server-side deadline. Semantic validation (sorted, disjoint, in-range)
-// belongs to the service; the codec enforces only structure. The flags byte
-// follows the same convention as QueryRequest's: appended only when set,
-// accepted at either length, unknown bits rejected.
+// belongs to the service; the codec enforces only structure, including the
+// one legal length for the interval count.
 //
-//	timeout u64 (ns) | count u32 | count × (lo u64, hi u64) | [flags u8]
+//	timeout u64 (ns) | count u32 | count × (lo u64, hi u64)
 type ScanRequest struct {
 	Ivs     []query.Interval
 	Timeout time.Duration
-	// Compress asks the server to deflate large response frames
-	// (FlagCompress); negotiate via /wireinfo first.
-	Compress bool
 }
 
 // AppendScanRequest appends s's payload encoding to dst.
@@ -133,9 +113,6 @@ func AppendScanRequest(dst []byte, s ScanRequest) ([]byte, error) {
 	for _, iv := range s.Ivs {
 		dst = appendU64(dst, iv.Lo)
 		dst = appendU64(dst, iv.Hi)
-	}
-	if s.Compress {
-		dst = append(dst, FlagCompress)
 	}
 	return dst, nil
 }
@@ -153,18 +130,10 @@ func DecodeScanRequest(b []byte) (ScanRequest, error) {
 	if n < 1 || n > MaxScanIntervals {
 		return ScanRequest{}, fmt.Errorf("%w: %d scan intervals outside [1, %d]", ErrCorrupt, n, MaxScanIntervals)
 	}
-	base := 12 + 16*n
-	if len(b) != base && len(b) != base+1 {
+	if len(b) != 12+16*n {
 		return ScanRequest{}, fmt.Errorf("%w: scan request %d bytes for %d intervals", ErrCorrupt, len(b), n)
 	}
 	s := ScanRequest{Ivs: make([]query.Interval, n), Timeout: timeout}
-	if len(b) == base+1 {
-		flags := b[base]
-		if flags&^FlagCompress != 0 {
-			return ScanRequest{}, fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags)
-		}
-		s.Compress = flags&FlagCompress != 0
-	}
 	for i := range s.Ivs {
 		s.Ivs[i] = query.Interval{Lo: readU64(b[12+16*i:]), Hi: readU64(b[20+16*i:])}
 	}

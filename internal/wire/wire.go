@@ -2,9 +2,9 @@
 // checksummed frames over a persistent TCP connection, with chunked
 // streaming of scan results.
 //
-// The protocol exists because the HTTP/JSON hop dominates serving cost:
-// BENCH_server.json measured ~1.2k qps over the wire against ~26k qps for
-// the same queries in-process, almost all of it marshaling and per-request
+// The protocol exists because the HTTP/JSON hop dominates serving cost
+// (the benchmark's hot_small_json and hot_small_binary workloads replay one
+// trace through each door), almost all of it marshaling and per-request
 // connection work. The binary framing removes both: requests pipeline over
 // one connection (tagged with request ids, so responses demultiplex without
 // head-of-line blocking between requests), and records travel in a packed
@@ -43,39 +43,27 @@
 //   - one TPong (for TPing), or
 //   - one TWriteAck (for TPut, TDelete, TFlush: replica outcome summary).
 //
-// Write frames (TPut, TDelete, TFlush) are accepted only by daemons that
-// advertise "write": true through GET /wireinfo — a read-only daemon
-// rejects them as unknown types and drops the connection, so a router
-// probing capabilities must fall back to the HTTP write endpoints. Like
-// reads, write requests carry an optional trailing flags byte; unknown flag
-// bits are hard-rejected as ErrCorrupt, never ignored.
+// Every daemon accepts write frames (TPut, TDelete, TFlush). One with no
+// write path (no durable store; a router with no write quorum) answers
+// them with TError CodeReadOnly before touching any state and keeps the
+// connection open; GET /wireinfo advertises "write": true where writes
+// will be applied.
 //
 // Frames of different ids interleave arbitrarily; frames of one id arrive
 // in order. A response stream is complete exactly when its TTrailer or
 // TError has arrived.
 //
-// # Compression
-//
-// The type byte's high bit (CompressedBit) marks a frame whose payload is
-// deflate-compressed: a u32 raw length followed by the deflate stream, with
-// the CRC computed over the compressed bytes. Compression is negotiated,
-// never sprung: the server advertises support through GET /wireinfo, the
-// client opts in per request with a trailing flags byte (FlagCompress) on
-// its TQuery/TScan payload, and only then may the server set the bit — in
-// practice on large TBatch frames (MinCompressSize), where cold-scan record
-// payloads deflate well. A reader that never negotiated compression keeps
-// rejecting the bit as an unknown type, exactly as version 1 always has.
-//
 // # Versioning
 //
 // The version byte is per-frame. A reader that sees a version it does not
 // speak must reject the frame as ErrCorrupt and close the connection; there
-// is no negotiation. Compatibility rule for future revisions: payload
-// encodings may only grow by appending fields (the request flags byte and
-// CompressedBit follow it: both occupy space version 1 rejected outright,
-// and both are used only after explicit negotiation), and a new version
-// byte is required for any change that alters the meaning of existing
-// bytes.
+// is no negotiation. Every request payload has exactly one legal length
+// and every type byte outside the T* constants is ErrCorrupt, so version 1
+// leaves two spaces it rejects outright: bytes appended to a payload and
+// unassigned type values. A future revision may grow into either only after
+// explicit negotiation (an advertisement on GET /wireinfo, then a
+// per-request opt-in); a new version byte is required for any change that
+// alters the meaning of existing bytes.
 package wire
 
 import (
@@ -212,7 +200,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return Frame{}, 0, fmt.Errorf("%w: unsupported version %d (speaking %d)", ErrCorrupt, b[2], Version)
 	}
 	typ := b[3]
-	if !validType(typ &^ CompressedBit) {
+	if !validType(typ) {
 		return Frame{}, 0, fmt.Errorf("%w: unknown frame type 0x%02x", ErrCorrupt, typ)
 	}
 	id := readU64(b[4:])
@@ -227,13 +215,6 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	sum := crc32.Update(crc32.Checksum(b[:16], castagnoli), castagnoli, payload)
 	if sum != readU32(b[16:]) {
 		return Frame{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	if typ&CompressedBit != 0 {
-		raw, err := inflatePayload(payload)
-		if err != nil {
-			return Frame{}, 0, err
-		}
-		payload, typ = raw, typ&^CompressedBit
 	}
 	return Frame{Type: typ, ID: id, Payload: payload}, HeaderSize + int(n), nil
 }
@@ -259,7 +240,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: unsupported version %d (speaking %d)", ErrCorrupt, hdr[2], Version)
 	}
 	typ := hdr[3]
-	if !validType(typ &^ CompressedBit) {
+	if !validType(typ) {
 		return Frame{}, fmt.Errorf("%w: unknown frame type 0x%02x", ErrCorrupt, typ)
 	}
 	n := readU32(hdr[12:])
@@ -276,13 +257,6 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	sum := crc32.Update(crc32.Checksum(hdr[:16], castagnoli), castagnoli, payload)
 	if sum != readU32(hdr[16:]) {
 		return Frame{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	if typ&CompressedBit != 0 {
-		raw, err := inflatePayload(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		payload, typ = raw, typ&^CompressedBit
 	}
 	return Frame{Type: typ, ID: readU64(hdr[4:]), Payload: payload}, nil
 }

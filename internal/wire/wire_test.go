@@ -177,6 +177,58 @@ func TestVersionRejected(t *testing.T) {
 	}
 }
 
+// TestHighTypeBitRejected: the high bit of the type byte is not a modifier.
+// Every frame type with it set is an unknown type — ErrCorrupt from both
+// decode paths even when the checksum has been recomputed over the altered
+// header, so it is the type check and not the CRC that refuses it.
+func TestHighTypeBitRejected(t *testing.T) {
+	for _, f := range sampleFrames(t) {
+		full := AppendFrame(nil, f)
+		full[3] |= 0x80
+		FinishFrame(full, 0)
+		if _, _, err := DecodeFrame(full); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("type 0x%02x with the high bit: decode err %v, want ErrCorrupt", f.Type, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(full)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("type 0x%02x with the high bit: read err %v, want ErrCorrupt", f.Type, err)
+		}
+	}
+}
+
+// TestRequestTrailingByteRejected: each request payload has exactly one
+// legal length. Whatever its value, one byte appended to a valid TQuery,
+// TScan, TPut/TDelete or TFlush payload is ErrCorrupt, never ignored.
+func TestRequestTrailingByteRejected(t *testing.T) {
+	writeReq := func(b []byte) error { _, err := DecodeWriteRequest(b); return err }
+	decoders := map[uint8]func([]byte) error{
+		TQuery:  func(b []byte) error { _, err := DecodeQueryRequest(b); return err },
+		TScan:   func(b []byte) error { _, err := DecodeScanRequest(b); return err },
+		TPut:    writeReq,
+		TDelete: writeReq,
+		TFlush:  func(b []byte) error { _, err := DecodeFlushRequest(b); return err },
+	}
+	checked := 0
+	for _, f := range sampleFrames(t) {
+		decode, ok := decoders[f.Type]
+		if !ok {
+			continue
+		}
+		checked++
+		if err := decode(f.Payload); err != nil {
+			t.Fatalf("type 0x%02x: valid payload rejected: %v", f.Type, err)
+		}
+		for v := 0; v < 256; v++ {
+			mut := append(append([]byte(nil), f.Payload...), byte(v))
+			if err := decode(mut); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("type 0x%02x: trailing byte 0x%02x: %v, want ErrCorrupt", f.Type, v, err)
+			}
+		}
+	}
+	if checked != len(decoders) {
+		t.Fatalf("checked %d request types, want %d", checked, len(decoders))
+	}
+}
+
 // TestPayloadRoundTrips: each payload codec is an exact inverse pair.
 func TestPayloadRoundTrips(t *testing.T) {
 	q := QueryRequest{Lo: grid.Point{0, ^uint32(0)}, Hi: grid.Point{5, 6}, Timeout: 3 * time.Second}
@@ -278,5 +330,49 @@ func TestDecodeBounds(t *testing.T) {
 	}
 	if _, err := DecodeQueryRequest(make([]byte, 9+8*200)); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("200-dim query accepted")
+	}
+}
+
+// TestHotPathAllocs gates the per-batch hot loops at zero steady-state
+// allocations: the server's encoder (BeginFrame/AppendBatchPayload/
+// FinishFrame into a retained buffer) and the client's decoder
+// (DecodeBatchInto over a retained record slice and slab). A regression
+// here silently multiplies GC pressure by the batch rate.
+func TestHotPathAllocs(t *testing.T) {
+	recs := make([]store.Record, DefaultBatchRecords)
+	for i := range recs {
+		recs[i] = store.Record{Point: grid.Point{uint32(i), uint32(i >> 8)}, Payload: uint64(i)}
+	}
+
+	var encBuf []byte
+	encode := func() {
+		start := len(encBuf[:0])
+		buf, err := AppendBatchPayload(BeginFrame(encBuf[:0], TBatch, 1), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encBuf = FinishFrame(buf, start)
+	}
+	encode() // warm: first call sizes the buffer
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Fatalf("BeginFrame+AppendBatchPayload+FinishFrame: %v allocs/run, want 0", allocs)
+	}
+
+	payload := encBuf[HeaderSize:]
+	out := make([]store.Record, 0, len(recs))
+	slab := make([]uint32, 2*len(recs))
+	decode := func() {
+		var err error
+		out, _, err = DecodeBatchInto(payload, out[:0], slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("DecodeBatchInto with retained slab: %v allocs/run, want 0", allocs)
+	}
+	if len(out) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(out), len(recs))
 	}
 }

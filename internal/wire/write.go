@@ -16,19 +16,13 @@ const MaxWriteReplicas = 1 << 10
 // server-side deadline. TDelete shares the shape — deletion removes every
 // stored instance equal to the record (same point, same payload), and one
 // codec keeps the torn-frame/corruption test surface identical for both
-// types. The flags byte follows the read-request convention: appended only
-// when some flag is set, accepted at either length, unknown bits
-// hard-rejected.
+// types. Like the read requests, the payload has one legal length for its d.
 //
-//	timeout u64 (ns) | payload u64 | d u8 | d×u32 coords | [flags u8]
+//	timeout u64 (ns) | payload u64 | d u8 | d×u32 coords
 type WriteRequest struct {
 	Point   grid.Point
 	Payload uint64
 	Timeout time.Duration // server-side deadline; 0 = server default
-	// Compress asks the server to deflate large response frames
-	// (FlagCompress). Write acks are tiny, so this is accepted for
-	// symmetry with reads rather than for any expected benefit.
-	Compress bool
 }
 
 // AppendWriteRequest appends w's payload encoding to dst.
@@ -46,9 +40,6 @@ func AppendWriteRequest(dst []byte, w WriteRequest) ([]byte, error) {
 	for _, c := range w.Point {
 		dst = appendU32(dst, c)
 	}
-	if w.Compress {
-		dst = append(dst, FlagCompress)
-	}
 	return dst, nil
 }
 
@@ -65,8 +56,7 @@ func DecodeWriteRequest(b []byte) (WriteRequest, error) {
 	if d < 1 || d > MaxDims {
 		return WriteRequest{}, fmt.Errorf("%w: write request %d dims outside [1, %d]", ErrCorrupt, d, MaxDims)
 	}
-	base := 17 + 4*d
-	if len(b) != base && len(b) != base+1 {
+	if len(b) != 17+4*d {
 		return WriteRequest{}, fmt.Errorf("%w: write request %d bytes for %d dims", ErrCorrupt, len(b), d)
 	}
 	w := WriteRequest{
@@ -74,26 +64,17 @@ func DecodeWriteRequest(b []byte) (WriteRequest, error) {
 		Payload: readU64(b[8:]),
 		Timeout: timeout,
 	}
-	if len(b) == base+1 {
-		flags := b[base]
-		if flags&^FlagCompress != 0 {
-			return WriteRequest{}, fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags)
-		}
-		w.Compress = flags&FlagCompress != 0
-	}
 	for i := 0; i < d; i++ {
 		w.Point[i] = readU32(b[17+4*i:])
 	}
 	return w, nil
 }
 
-// FlushRequest is the TFlush payload: persist all buffered writes. Same
-// flags convention as every other request.
+// FlushRequest is the TFlush payload: persist all buffered writes.
 //
-//	timeout u64 (ns) | [flags u8]
+//	timeout u64 (ns)
 type FlushRequest struct {
-	Timeout  time.Duration
-	Compress bool
+	Timeout time.Duration
 }
 
 // AppendFlushRequest appends f's payload encoding to dst.
@@ -101,28 +82,17 @@ func AppendFlushRequest(dst []byte, f FlushRequest) ([]byte, error) {
 	if f.Timeout < 0 {
 		return nil, fmt.Errorf("wire: negative timeout %v", f.Timeout)
 	}
-	dst = appendU64(dst, uint64(f.Timeout))
-	if f.Compress {
-		dst = append(dst, FlagCompress)
-	}
-	return dst, nil
+	return appendU64(dst, uint64(f.Timeout)), nil
 }
 
 // DecodeFlushRequest parses a TFlush payload.
 func DecodeFlushRequest(b []byte) (FlushRequest, error) {
-	if len(b) != 8 && len(b) != 9 {
+	if len(b) != 8 {
 		return FlushRequest{}, fmt.Errorf("%w: flush request %d bytes", ErrCorrupt, len(b))
 	}
 	f := FlushRequest{Timeout: time.Duration(readU64(b))}
 	if f.Timeout < 0 {
 		return FlushRequest{}, fmt.Errorf("%w: timeout overflows", ErrCorrupt)
-	}
-	if len(b) == 9 {
-		flags := b[8]
-		if flags&^FlagCompress != 0 {
-			return FlushRequest{}, fmt.Errorf("%w: unknown request flags 0x%02x", ErrCorrupt, flags)
-		}
-		f.Compress = flags&FlagCompress != 0
 	}
 	return f, nil
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // TestWriteRequestRoundTrip: the TPut/TDelete codec is an exact inverse
-// pair, flags byte included.
+// pair with one length per dimensionality.
 func TestWriteRequestRoundTrip(t *testing.T) {
 	cases := []WriteRequest{
 		{Point: grid.Point{1}, Payload: 0, Timeout: 0},
 		{Point: grid.Point{3, ^uint32(0)}, Payload: ^uint64(0), Timeout: time.Second},
-		{Point: grid.Point{7, 8, 9}, Payload: 5, Timeout: 250 * time.Millisecond, Compress: true},
+		{Point: grid.Point{7, 8, 9}, Payload: 5, Timeout: 250 * time.Millisecond},
 	}
 	for i, w := range cases {
 		b := mustAppend(t)(AppendWriteRequest(nil, w))
@@ -24,16 +24,10 @@ func TestWriteRequestRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if !got.Point.Equal(w.Point) || got.Payload != w.Payload ||
-			got.Timeout != w.Timeout || got.Compress != w.Compress {
+			got.Timeout != w.Timeout {
 			t.Fatalf("case %d: got %+v want %+v", i, got, w)
 		}
-		// Flagless requests keep the exact base encoding; the flags byte
-		// appears only when set.
-		wantLen := 17 + 4*len(w.Point)
-		if w.Compress {
-			wantLen++
-		}
-		if len(b) != wantLen {
+		if wantLen := 17 + 4*len(w.Point); len(b) != wantLen {
 			t.Fatalf("case %d: %d bytes, want %d", i, len(b), wantLen)
 		}
 	}
@@ -56,19 +50,11 @@ func TestWriteRequestRejects(t *testing.T) {
 			t.Fatalf("cut %d: %v, want ErrCorrupt", cut, err)
 		}
 	}
-	// Unknown request flag bits are hard-rejected, never ignored — the
-	// same contract the read requests enforce.
-	for flags := 2; flags < 256; flags <<= 1 {
-		mut := append(append([]byte(nil), valid...), byte(flags))
-		if _, err := DecodeWriteRequest(mut); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("unknown flags 0x%02x accepted: %v", flags, err)
-		}
-	}
 }
 
-// TestFlushRequestRoundTrip: TFlush codec inverse pair + flag rejection.
+// TestFlushRequestRoundTrip: TFlush codec inverse pair.
 func TestFlushRequestRoundTrip(t *testing.T) {
-	for _, f := range []FlushRequest{{}, {Timeout: 3 * time.Second}, {Timeout: time.Second, Compress: true}} {
+	for _, f := range []FlushRequest{{}, {Timeout: 3 * time.Second}} {
 		b := mustAppend(t)(AppendFlushRequest(nil, f))
 		got, err := DecodeFlushRequest(b)
 		if err != nil || got != f {
@@ -77,9 +63,6 @@ func TestFlushRequestRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeFlushRequest(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("empty flush accepted")
-	}
-	if _, err := DecodeFlushRequest([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2}); !errors.Is(err, ErrCorrupt) {
-		t.Fatal("unknown flush flags accepted")
 	}
 }
 
