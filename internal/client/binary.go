@@ -221,6 +221,7 @@ func (t *BinaryTransport) roundTripWrite(ctx context.Context, ftype uint8, paylo
 			bc.fail(err)
 			return server.WriteResponse{}, maybeApplied(err)
 		}
+		bc.recycle(f.Payload)
 		return server.WriteResponse{OK: true, Acked: ack.Acked, Required: ack.Required}, nil
 	case wire.TError:
 		return server.WriteResponse{}, writeErrorFromFrame(bc, f)
@@ -241,6 +242,7 @@ func writeErrorFromFrame(bc *binConn, f wire.Frame) error {
 		bc.fail(err)
 		return maybeApplied(err)
 	}
+	bc.recycle(f.Payload)
 	var hint time.Duration = -1
 	if e.RetryAfterSec >= 0 {
 		hint = time.Duration(e.RetryAfterSec) * time.Second
@@ -286,6 +288,7 @@ func (t *BinaryTransport) Ping(ctx context.Context) (bool, error) {
 		bc.fail(err)
 		return false, err
 	}
+	bc.recycle(f.Payload)
 	return p.Ready, nil
 }
 
@@ -356,6 +359,9 @@ func newBinaryStream(ctx context.Context, bc *binConn, pr *pendingReq, pushback 
 				bc.fail(err)
 				return nil, err
 			}
+			// The records live in slab, which is not recycled (batches stay
+			// valid after later Next calls); the payload is dead.
+			bc.recycle(f.Payload)
 			return recs, nil
 		case wire.TTrailer:
 			tr, err := wire.DecodeTrailerPayload(f.Payload)
@@ -363,6 +369,7 @@ func newBinaryStream(ctx context.Context, bc *binConn, pr *pendingReq, pushback 
 				bc.fail(err)
 				return nil, err
 			}
+			bc.recycle(f.Payload)
 			s.trailer, s.haveTrailer = tr, true
 			return nil, io.EOF
 		case wire.TError:
@@ -385,6 +392,7 @@ func errorFromFrame(bc *binConn, f wire.Frame) error {
 		bc.fail(err)
 		return err
 	}
+	bc.recycle(f.Payload)
 	var hint time.Duration = -1
 	if e.RetryAfterSec >= 0 {
 		hint = time.Duration(e.RetryAfterSec) * time.Second
@@ -429,6 +437,12 @@ type binConn struct {
 	wmu  sync.Mutex // serializes whole-frame writes
 	dead chan struct{}
 
+	// free holds payload buffers that consumers have decoded and handed
+	// back (recycle) for the reader to fill with later frames. It holds
+	// more than a consumer that keeps up leaves in flight; when it is
+	// empty the reader allocates, when it is full the buffer is dropped.
+	free chan []byte
+
 	mu      sync.Mutex // guards pending, err
 	pending map[uint64]*pendingReq
 	err     error
@@ -449,10 +463,29 @@ func newBinConn(c net.Conn) *binConn {
 	bc := &binConn{
 		c:       c,
 		dead:    make(chan struct{}),
+		free:    make(chan []byte, 8),
 		pending: make(map[uint64]*pendingReq),
 	}
 	go bc.readLoop()
 	return bc
+}
+
+// maxRecycledPayload is the largest payload buffer kept for reuse: a
+// default batch of records in up to 14 dimensions. Bigger ones are rare and
+// go to the collector.
+const maxRecycledPayload = 1 << 18
+
+// recycle hands the payload of a frame this connection read back to its
+// reader. The caller must have finished with every byte: the next frame
+// overwrites them.
+func (bc *binConn) recycle(payload []byte) {
+	if cap(payload) == 0 || cap(payload) > maxRecycledPayload {
+		return
+	}
+	select {
+	case bc.free <- payload[:0]:
+	default:
+	}
 }
 
 func (bc *binConn) alive() bool {
@@ -488,7 +521,12 @@ func (bc *binConn) failure() error {
 func (bc *binConn) readLoop() {
 	br := bufio.NewReaderSize(bc.c, 1<<16)
 	for {
-		f, err := wire.ReadFrame(br)
+		var buf []byte
+		select {
+		case buf = <-bc.free:
+		default:
+		}
+		f, err := wire.ReadFrameInto(br, buf)
 		if err != nil {
 			bc.fail(fmt.Errorf("client: wire read: %w", err))
 			return
@@ -497,11 +535,13 @@ func (bc *binConn) readLoop() {
 		pr := bc.pending[f.ID]
 		bc.mu.Unlock()
 		if pr == nil {
+			bc.recycle(f.Payload)
 			continue
 		}
 		select {
 		case pr.ch <- f:
 		case <-pr.done:
+			bc.recycle(f.Payload)
 		case <-bc.dead:
 			return
 		}

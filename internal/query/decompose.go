@@ -93,6 +93,10 @@ func hierarchicalDecompose(c curve.Curve, b Box) []Interval {
 	d := u.D()
 	var out []Interval
 	corner := u.NewPoint()
+	// One origin per recursion level, carved from one slab: a node's
+	// children are visited one at a time, so they share the next level's
+	// slot, and nothing deeper ever writes to a shallower one.
+	origins := make([]uint32, (u.K()+1)*d)
 	var recurse func(origin grid.Point, level int)
 	recurse = func(origin grid.Point, level int) {
 		size := u.Side() >> uint(level) // subcube side length
@@ -121,7 +125,7 @@ func hierarchicalDecompose(c curve.Curve, b Box) []Interval {
 			return
 		}
 		half := size / 2
-		child := origin.Clone()
+		child := grid.Point(origins[(level+1)*d : (level+2)*d])
 		for mask := 0; mask < 1<<uint(d); mask++ {
 			for i := 0; i < d; i++ {
 				child[i] = origin[i]
@@ -132,7 +136,7 @@ func hierarchicalDecompose(c curve.Curve, b Box) []Interval {
 			recurse(child, level+1)
 		}
 	}
-	recurse(u.NewPoint(), 0)
+	recurse(grid.Point(origins[:d]), 0)
 	return out
 }
 

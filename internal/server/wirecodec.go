@@ -101,11 +101,36 @@ const segmentBytes = 1 << 18
 // is the stream's commit point; a failure after batches have flushed is a
 // TError frame — the protocol's promise that a missing trailer always comes
 // with a reason or a dead connection.
+//
+// The segment buffer comes from a process-wide free list when the
+// connection's handler builds the exchange and goes back when Server.serve
+// has returned: by then every flush has finished (conn.Write does not keep
+// its argument) and nothing else ever saw the buffer, so the next exchange
+// to draw it is its only user.
 type wireExchange struct {
 	s   *Server
 	w   *wireWriter
 	f   wire.Frame
-	buf []byte
+	seg *segment
+}
+
+// segment is one exchange's response buffer on the free list.
+type segment struct{ buf []byte }
+
+var segments = sync.Pool{New: func() any { return new(segment) }}
+
+// maxPooledSegmentBytes caps the capacity the free list keeps: a segment
+// grows to segmentBytes plus one frame, plus append's slack; one stretched
+// further by an unusually wide batch is left to the collector.
+const maxPooledSegmentBytes = 4 * segmentBytes
+
+// release gives the segment back to the free list. It holds encoded bytes
+// only — no pointers — so it is not zeroed.
+func (g *segment) release() {
+	if cap(g.buf) <= maxPooledSegmentBytes {
+		g.buf = g.buf[:0]
+		segments.Put(g)
+	}
 }
 
 func (x *wireExchange) decode() (request, error) {
@@ -148,19 +173,20 @@ func (x *wireExchange) decode() (request, error) {
 // batch encodes recs as TBatch frames of at most DefaultBatchRecords each,
 // straight into the segment buffer with no intermediate copy.
 func (x *wireExchange) batch(recs []store.Record) error {
+	seg := x.seg
 	for len(recs) > 0 {
 		n := len(recs)
 		if n > wire.DefaultBatchRecords {
 			n = wire.DefaultBatchRecords
 		}
-		start := len(x.buf)
-		buf, err := wire.AppendBatchPayload(wire.BeginFrame(x.buf, wire.TBatch, x.f.ID), recs[:n])
+		start := len(seg.buf)
+		buf, err := wire.AppendBatchPayload(wire.BeginFrame(seg.buf, wire.TBatch, x.f.ID), recs[:n])
 		if err != nil {
 			return classed{failInternal, err}
 		}
-		x.buf = wire.FinishFrame(buf, start)
+		seg.buf = wire.FinishFrame(buf, start)
 		recs = recs[n:]
-		if len(x.buf) >= segmentBytes {
+		if len(seg.buf) >= segmentBytes {
 			if err := x.flush(); err != nil {
 				return err
 			}
@@ -173,10 +199,11 @@ func (x *wireExchange) batch(recs []store.Record) error {
 // write error means the connection died: nobody is listening, and the read
 // loop notices too.
 func (x *wireExchange) flush() error {
+	seg := x.seg
 	x.w.mu.Lock()
-	_, err := x.w.c.Write(x.buf)
+	_, err := x.w.c.Write(seg.buf)
 	x.w.mu.Unlock()
-	x.buf = x.buf[:0]
+	seg.buf = seg.buf[:0]
 	if err != nil {
 		return classed{failClientGone, err}
 	}
@@ -186,8 +213,9 @@ func (x *wireExchange) flush() error {
 // trailer appends the TTrailer and flushes whatever remains, so a small
 // response goes out as one write.
 func (x *wireExchange) trailer(res service.Result, elapsedUS int64) error {
-	start := len(x.buf)
-	buf, err := wire.AppendTrailerPayload(wire.BeginFrame(x.buf, wire.TTrailer, x.f.ID), wire.Trailer{
+	seg := x.seg
+	start := len(seg.buf)
+	buf, err := wire.AppendTrailerPayload(wire.BeginFrame(seg.buf, wire.TTrailer, x.f.ID), wire.Trailer{
 		Unavailable:   res.Unavailable,
 		ShardsQueried: res.ShardsQueried,
 		PagesRead:     res.PagesRead,
@@ -196,7 +224,7 @@ func (x *wireExchange) trailer(res service.Result, elapsedUS int64) error {
 	if err != nil {
 		return classed{failInternal, err}
 	}
-	x.buf = wire.FinishFrame(buf, start)
+	seg.buf = wire.FinishFrame(buf, start)
 	return x.flush()
 }
 
@@ -256,7 +284,9 @@ func (s *Server) serveWireConn(c net.Conn) {
 			})
 			return
 		}
-		s.serve(ctx, &wireExchange{s: s, w: w, f: f})
+		seg := segments.Get().(*segment)
+		s.serve(ctx, &wireExchange{s: s, w: w, f: f, seg: seg})
+		seg.release()
 	}
 	br := bufio.NewReaderSize(c, 1<<16)
 read:

@@ -73,3 +73,19 @@ func BenchmarkServiceDecomposeCache(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServiceRangeStreamLarge drains one ≈10 000-record box through
+// RangeStream — the server-side half of the benchmark's scan_large_stream —
+// and reports what a warm drain allocates: the scan buffers come from the
+// free lists, so B/op is the stream's own bookkeeping.
+func BenchmarkServiceRangeStreamLarge(b *testing.B) {
+	svc, _, box := largeScanFixture(b)
+	want := drainCount(b, svc, box)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := drainCount(b, svc, box); got != want {
+			b.Fatalf("%d records, want %d", got, want)
+		}
+	}
+}

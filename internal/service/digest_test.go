@@ -75,6 +75,7 @@ const digestAllocSlack = 1 << 20
 // TestDigestAllocationIsBounded: Digest folds the stream batch by batch, so
 // the bytes it allocates do not follow the size of the range.
 func TestDigestAllocationIsBounded(t *testing.T) {
+	skipUnderRace(t)
 	u := grid.MustNew(2, 8)
 	c := curve.NewHilbert(u)
 	full := []query.Interval{{Lo: 0, Hi: u.N()}}

@@ -27,9 +27,17 @@ import (
 // independent of result size.
 //
 // A Stream is single-consumer and must be closed: Close cancels the shard
-// legs, reclaims their workers, and joins the producer goroutines. Batches
-// returned by Next alias recycled buffers and are valid only until the
-// next Next call.
+// legs, reclaims their workers, and joins the producer goroutines.
+//
+// Buffer lifetime: every batch travels in a legBuf from the process-wide
+// free list, and has exactly one owner at a time — the leg that fills it,
+// then the leg's channel, then the consumer. The consumer's batch goes back
+// to the free list at the next Next; whatever a stream still owns when it
+// is closed (the consumer's batch and batches left in leg channels) goes
+// back in Close, after the legs have been joined. A released buffer is
+// refilled by some other request's leg, so the slice Next returns is valid
+// only until the next Next or Close call and must be copied to be kept
+// (Collect does).
 type Stream struct {
 	s      *Service
 	sctx   context.Context
@@ -37,12 +45,10 @@ type Stream struct {
 	wg     sync.WaitGroup
 
 	chans    []chan streamMsg
-	frees    []chan []store.Record
 	terminal []bool // leg i's terminal message has been received
 
-	cur     int            // leg currently being drained
-	curBuf  []store.Record // batch handed out by the last Next
-	curFree chan []store.Record
+	cur    int     // leg currently being drained
+	curBuf *legBuf // batch handed out by the last Next
 
 	jobs  int
 	dark  []query.Interval
@@ -54,13 +60,12 @@ type Stream struct {
 	closed  bool
 }
 
-// streamMsg is one message on a shard leg: either a batch of records
-// (recs non-nil, in curve order, owned by the consumer until recycled to
-// free) or the leg's terminal (done true: the shard finished with err, or
-// cleanly with its dark spans and page count).
+// streamMsg is one message on a shard leg: either a batch of records (buf
+// non-nil, in curve order, owned by whoever receives it) or the leg's
+// terminal (done true: the shard finished with err, or cleanly with its
+// dark spans and page count).
 type streamMsg struct {
-	recs  []store.Record
-	free  chan []store.Record
+	buf   *legBuf
 	done  bool
 	dark  []query.Interval
 	pages int
@@ -71,6 +76,32 @@ type streamMsg struct {
 // the consumer; with the batch in flight and the one the consumer holds,
 // a leg owns at most streamChanCap+2 batch buffers.
 const streamChanCap = 2
+
+// legBuf carries one batch from a shard leg to the stream's consumer. The
+// leg copies a cursor batch into it because the cursor reuses its own
+// buffer on the next call, while the leg runs ahead of the consumer.
+type legBuf struct{ recs []store.Record }
+
+// legBufs is the free list every stream's legs draw from; see Stream for
+// who owns a buffer when.
+var legBufs = sync.Pool{New: func() any { return new(legBuf) }}
+
+// maxPooledLegRecords caps the capacity the free list keeps: a cursor
+// batch overshoots store.DefaultScanBatch by at most a page and a
+// duplicate-key run, and a buffer grown past that is left to the collector.
+const maxPooledLegRecords = 4 * store.DefaultScanBatch
+
+// release zeroes the records the buffer holds — their Points reference
+// store pages, which a pooled buffer must not pin — and returns it to the
+// free list. Only the buffer's current owner may call it.
+func (b *legBuf) release() {
+	if cap(b.recs) > maxPooledLegRecords {
+		return
+	}
+	clear(b.recs)
+	b.recs = b.recs[:0]
+	legBufs.Put(b)
+}
 
 // RangeStream answers the box query incrementally: batches of records in
 // curve order while later curve intervals are still being scanned, then a
@@ -117,17 +148,14 @@ func (s *Service) openStream(ctx context.Context, ivs []query.Interval) (*Stream
 		sctx:     sctx,
 		cancel:   cancel,
 		chans:    make([]chan streamMsg, len(jobs)),
-		frees:    make([]chan []store.Record, len(jobs)),
 		terminal: make([]bool, len(jobs)),
 		jobs:     len(jobs),
 	}
 	st.wg.Add(len(jobs))
 	for pos, jb := range jobs {
 		ch := make(chan streamMsg, streamChanCap)
-		free := make(chan []store.Record, streamChanCap+2)
 		st.chans[pos] = ch
-		st.frees[pos] = free
-		go s.streamShard(sctx, jb.shard, jb.ivs, ch, free, &st.wg)
+		go s.streamShard(sctx, jb.shard, jb.ivs, ch, &st.wg)
 	}
 	return st, nil
 }
@@ -139,7 +167,7 @@ func (s *Service) openStream(ctx context.Context, ivs []query.Interval) (*Stream
 // message (shard dark spans, page count, or the first error) is always
 // delivered; Stream.Close drains the channel, so the blocking send cannot
 // leak the goroutine.
-func (s *Service) streamShard(ctx context.Context, shard int, ivs []query.Interval, ch chan streamMsg, free chan []store.Record, wg *sync.WaitGroup) {
+func (s *Service) streamShard(ctx context.Context, shard int, ivs []query.Interval, ch chan streamMsg, wg *sync.WaitGroup) {
 	defer wg.Done()
 	start := time.Now()
 	var dark []query.Interval
@@ -183,15 +211,12 @@ func (s *Service) streamShard(ctx context.Context, shard int, ivs []query.Interv
 		if len(b.Records) == 0 {
 			continue
 		}
-		var buf []store.Record
+		buf := legBufs.Get().(*legBuf)
+		buf.recs = append(buf.recs, b.Records...)
 		select {
-		case buf = <-free:
-		default:
-		}
-		buf = append(buf[:0], b.Records...)
-		select {
-		case ch <- streamMsg{recs: buf, free: free}:
+		case ch <- streamMsg{buf: buf}:
 		case <-ctx.Done():
+			buf.release() // never sent: still the leg's
 			finish(ctx.Err())
 			return
 		}
@@ -232,10 +257,7 @@ func (st *Stream) Next() ([]store.Record, error) {
 		return nil, io.EOF
 	}
 	if st.curBuf != nil {
-		select {
-		case st.curFree <- st.curBuf[:0]:
-		default:
-		}
+		st.curBuf.release()
 		st.curBuf = nil
 	}
 	for st.cur < len(st.chans) {
@@ -253,9 +275,8 @@ func (st *Stream) Next() ([]store.Record, error) {
 			st.cur++
 			continue
 		}
-		st.curBuf = msg.recs
-		st.curFree = msg.free
-		return msg.recs, nil
+		st.curBuf = msg.buf
+		return msg.buf.recs, nil
 	}
 	st.eof = true
 	// Per-shard dark lists are sorted and confined to disjoint ascending
@@ -296,21 +317,32 @@ func (st *Stream) Collect() (Result, error) {
 	return res, nil
 }
 
-// Close cancels the shard legs, drains their channels, and joins the
-// producer goroutines. It is idempotent and must be called exactly like a
-// rows-style iterator's Close, whether or not the stream was drained.
+// Close cancels the shard legs, drains their channels, joins the producer
+// goroutines, and then releases every batch buffer the stream still owns.
+// It is idempotent and must be called exactly like a rows-style iterator's
+// Close, whether or not the stream was drained.
 func (st *Stream) Close() {
 	if st.closed {
 		return
 	}
 	st.closed = true
 	st.cancel()
+	var left []*legBuf // batches the consumer never took
 	for i := range st.chans {
 		for !st.terminal[i] {
 			msg := <-st.chans[i]
 			st.terminal[i] = msg.done
+			if msg.buf != nil {
+				left = append(left, msg.buf)
+			}
 		}
 	}
 	st.wg.Wait()
-	st.curBuf = nil
+	for _, b := range left {
+		b.release()
+	}
+	if st.curBuf != nil {
+		st.curBuf.release()
+		st.curBuf = nil
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/query"
 )
@@ -19,6 +20,12 @@ const DefaultScanBatch = 4096
 // the records, dark intervals, and page charges a single Scan over the same
 // intervals would return — the batches are a partition of the ScanResult,
 // not an approximation of it.
+//
+// Ownership: Records, Keys and Dark alias buffers the cursor took from a
+// process-wide free list when it was opened and gives back in Close, after
+// which another request's cursor fills them. A batch is therefore valid
+// only until the next Next or Close call on its cursor, and a consumer
+// that needs it longer copies it first.
 type Batch struct {
 	// Records holds the next run of readable records in scan order
 	// (ascending curve key, duplicate keys in store order). The slice, like
@@ -62,9 +69,52 @@ type BatchCursor interface {
 	// error (io.EOF included) is sticky: the cursor is exhausted and
 	// further calls return the same error.
 	Next(ctx context.Context) (Batch, error)
-	// Close releases the cursor's buffers. It is idempotent and safe to
-	// call at any point; a half-drained cursor must still be closed.
+	// Close hands the cursor's buffers back to the free list. It is
+	// idempotent and safe to call at any point; a half-drained cursor must
+	// still be closed, and no batch may be read afterwards.
 	Close()
+}
+
+// scanBuf is the backing of one cursor's output batches. Cursors take one
+// from scanBufs when they open and release it in Close — nowhere else, so a
+// buffer is never reachable from two cursors — which carries the
+// within-request reuse of these slices across requests: a warm process
+// opens, drains and closes a cursor without allocating for records.
+type scanBuf struct {
+	recs []Record
+	keys []uint64
+	dark []query.Interval
+	// used is how far recs has ever been filled since the buffer left the
+	// free list: recs[used:cap] is still zero.
+	used int
+}
+
+// maxPooledScanRecords caps the capacity of a record buffer the free list
+// keeps. A batch overshoots its target by at most a page plus a held-back
+// duplicate-key run, so ordinary buffers fit; one grown past the cap by a
+// huge ScanBatchSize or a pathological run is left to the collector.
+const maxPooledScanRecords = 4 * DefaultScanBatch
+
+var scanBufs = sync.Pool{New: func() any { return new(scanBuf) }}
+
+// rewind empties the buffer for the next batch, remembering how far the
+// record slice was filled (appends only ever grow it between rewinds).
+func (b *scanBuf) rewind() {
+	b.used = max(b.used, len(b.recs))
+	b.recs, b.keys, b.dark = b.recs[:0], b.keys[:0], b.dark[:0]
+}
+
+// release returns the buffer to the free list. Records carry a pointer
+// (Point) into the page they were read from, so the used prefix is zeroed
+// first: a pooled buffer must not pin a file-backed page.
+func (b *scanBuf) release() {
+	b.rewind()
+	if cap(b.recs) > maxPooledScanRecords {
+		return
+	}
+	clear(b.recs[:b.used])
+	b.used = 0
+	scanBufs.Put(b)
 }
 
 // validateScanIntervals checks the sorted-disjoint precondition the cursor
@@ -101,7 +151,7 @@ func (st *Store) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCurs
 	if err := validateScanIntervals(ivs); err != nil {
 		return nil, err
 	}
-	return &storeCursor{st: st, cfg: cfg, ivs: ivs, curID: -1}, nil
+	return &storeCursor{st: st, cfg: cfg, ivs: ivs, curID: -1, out: scanBufs.Get().(*scanBuf)}, nil
 }
 
 // storeCursor walks intervals in order and pages within each interval in
@@ -118,7 +168,10 @@ func (st *Store) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCurs
 //     is by construction the first key of the next page, so the cursor
 //     holds back exactly the records with key >= the next page's first key
 //     until that page's fate is known, and drops held records a new dark
-//     span covers.
+//     span covers. Records go straight from the page into the output
+//     buffer; the held ones are simply its last `held` entries, left out of
+//     the batch handed to the caller and moved to the front by the next
+//     call.
 //   - Dark spans are discovered in ascending Lo order (pages ascend, spans
 //     are clipped per interval, intervals ascend), so merging each new
 //     span into the tail of the accumulated list is equivalent to
@@ -142,15 +195,12 @@ type storeCursor struct {
 
 	dark []query.Interval // merged dark union so far (sorted, disjoint)
 
-	// Boundary holdback: records collected from the open interval whose
-	// fate may still change, in slot order.
-	pendRecs []Record
-	pendKeys []uint64
-
-	// Output buffers, reused across Next calls.
-	outRecs []Record
-	outKeys []uint64
-	outDark []query.Interval
+	// out is the output buffer, reused across Next calls and recycled
+	// across cursors; nil once closed. Its last held records are the
+	// boundary holdback: collected from the open interval, fate not yet
+	// settled.
+	out  *scanBuf
+	held int
 
 	done bool
 	err  error
@@ -163,11 +213,16 @@ func (c *storeCursor) Next(ctx context.Context) (Batch, error) {
 	if c.done {
 		return Batch{}, io.EOF
 	}
-	c.outRecs = c.outRecs[:0]
-	c.outKeys = c.outKeys[:0]
-	c.outDark = c.outDark[:0]
+	out := c.out
+	// The previous batch is dead: keep only the held-back tail, moved to
+	// the front.
+	settled := len(out.recs) - c.held
+	tailRecs, tailKeys := out.recs[settled:], out.keys[settled:]
+	out.rewind()
+	out.recs = append(out.recs, tailRecs...)
+	out.keys = append(out.keys, tailKeys...)
 	c.pagesThis = 0
-	for len(c.outRecs) < c.cfg.batch {
+	for len(out.recs)-c.held < c.cfg.batch {
 		if !c.open {
 			if c.ivIdx >= len(c.ivs) {
 				c.done = true
@@ -202,35 +257,37 @@ func (c *storeCursor) Next(ctx context.Context) (Batch, error) {
 				ks.Hi = iv.Hi
 			}
 			if ks.Lo < ks.Hi {
-				c.outDark = append(c.outDark, ks)
+				out.dark = append(out.dark, ks)
 				c.addDark(ks)
-				c.dropPend(ks)
+				c.dropHeld()
 			}
 		} else {
-			a := c.page * c.st.pageSize
-			if a < c.lo {
-				a = c.lo
-			}
-			b := (c.page + 1) * c.st.pageSize
-			if b > c.hi {
-				b = c.hi
-			}
-			for i := a; i < b; i++ {
-				k := c.st.keys[i]
-				if query.IntervalsContain(c.dark, k) {
-					continue
+			base := c.page * c.st.pageSize
+			a := max(base, c.lo)
+			b := min(base+c.st.pageSize, c.hi)
+			if len(c.dark) == 0 {
+				// The healthy store: nothing can be dark, so the page's
+				// slice of the interval is copied as a block.
+				out.recs = append(out.recs, pg.Records[a-base:b-base]...)
+				out.keys = append(out.keys, c.st.keys[a:b]...)
+			} else {
+				for i := a; i < b; i++ {
+					k := c.st.keys[i]
+					if query.IntervalsContain(c.dark, k) {
+						continue
+					}
+					out.recs = append(out.recs, pg.Records[i-base])
+					out.keys = append(out.keys, k)
 				}
-				c.pendRecs = append(c.pendRecs, pg.Records[i%c.st.pageSize])
-				c.pendKeys = append(c.pendKeys, k)
 			}
 		}
 		if c.page == c.last {
-			c.emitPend(0, true)
+			c.held = 0
 			c.open = false
 			c.ivIdx++
 		} else {
 			c.page++
-			c.emitPend(c.st.keys[c.page*c.st.pageSize], false)
+			c.hold(c.st.keys[c.page*c.st.pageSize])
 		}
 	}
 	wm := uint64(math.MaxUint64)
@@ -243,13 +300,16 @@ func (c *storeCursor) Next(ctx context.Context) (Batch, error) {
 	case c.ivIdx < len(c.ivs):
 		wm = c.ivs[c.ivIdx].Lo
 	}
-	if c.done && len(c.outRecs) == 0 && len(c.outDark) == 0 && c.pagesThis == 0 {
+	settled = len(out.recs) - c.held
+	if c.done && settled == 0 && len(out.dark) == 0 && c.pagesThis == 0 {
 		return Batch{}, io.EOF
 	}
+	// Capacity stops at the held tail, so an append to the batch cannot
+	// reach it.
 	return Batch{
-		Records:   c.outRecs,
-		Keys:      c.outKeys,
-		Dark:      c.outDark,
+		Records:   out.recs[:settled:settled],
+		Keys:      out.keys[:settled:settled],
+		Dark:      out.dark,
 		Watermark: wm,
 		PagesRead: c.pagesThis,
 	}, nil
@@ -257,8 +317,10 @@ func (c *storeCursor) Next(ctx context.Context) (Batch, error) {
 
 func (c *storeCursor) Close() {
 	c.done = true
-	c.pendRecs, c.pendKeys = nil, nil
-	c.outRecs, c.outKeys, c.outDark = nil, nil, nil
+	if c.out != nil {
+		c.out.release()
+		c.out = nil
+	}
 }
 
 func (c *storeCursor) fail(err error) (Batch, error) {
@@ -292,39 +354,29 @@ func (c *storeCursor) addDark(ks query.Interval) {
 	c.dark = append(c.dark, ks)
 }
 
-// dropPend removes held records a new dark span covers — the page-boundary
-// duplicate-key case where a readable page's records go dark because the
-// rest of their key's run was lost.
-func (c *storeCursor) dropPend(ks query.Interval) {
-	keep := 0
-	for i, k := range c.pendKeys {
-		if k >= ks.Lo && k < ks.Hi {
-			continue
-		}
-		c.pendRecs[keep] = c.pendRecs[i]
-		c.pendKeys[keep] = k
-		keep++
-	}
-	c.pendRecs = c.pendRecs[:keep]
-	c.pendKeys = c.pendKeys[:keep]
+// dropHeld discards the held records when the page they were held for
+// fails — the page-boundary duplicate-key case where a readable page's
+// records go dark because the rest of their key's run was lost. All of them
+// go: a held record's key is the failed page's first key (nothing read
+// before that page is above it, and hold kept only what is not below it),
+// and that key lies in the page's dark span.
+func (c *storeCursor) dropHeld() {
+	out := c.out
+	keep := len(out.recs) - c.held
+	clear(out.recs[keep:]) // rewind measures use by length; leave nothing beyond it
+	out.recs, out.keys = out.recs[:keep], out.keys[:keep]
+	c.held = 0
 }
 
-// emitPend moves held records whose fate is settled into the output: all
-// of them at an interval boundary, otherwise those below thr (the next
-// page's first key — a held record at thr could still be darkened by that
-// page failing).
-func (c *storeCursor) emitPend(thr uint64, all bool) {
-	j := len(c.pendKeys)
-	if !all {
-		j = sort.Search(j, func(i int) bool { return c.pendKeys[i] >= thr })
+// hold settles the output at a page boundary inside an interval: records
+// below thr, the next page's first key, can no longer change; those at thr
+// — always a suffix, the output is in key order — stay held, because that
+// page failing would darken them.
+func (c *storeCursor) hold(thr uint64) {
+	keys := c.out.keys
+	n := len(keys)
+	c.held = 0
+	if n > 0 && keys[n-1] >= thr {
+		c.held = n - sort.Search(n, func(i int) bool { return keys[i] >= thr })
 	}
-	if j == 0 {
-		return
-	}
-	c.outRecs = append(c.outRecs, c.pendRecs[:j]...)
-	c.outKeys = append(c.outKeys, c.pendKeys[:j]...)
-	n := copy(c.pendRecs, c.pendRecs[j:])
-	c.pendRecs = c.pendRecs[:n]
-	n = copy(c.pendKeys, c.pendKeys[j:])
-	c.pendKeys = c.pendKeys[:n]
 }

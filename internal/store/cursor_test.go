@@ -133,26 +133,30 @@ func TestCursorEqualsScanProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			scanStats := st.Stats()
-			st.ResetStats()
-			cur, err := st.ScanCursor(ivs, store.ScanBatchSize(cfg.batch))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainCursor(t, ctx, cur, c)
-			if !sameSlices(got.Records, want.Records) {
-				t.Fatalf("ps=%d batch=%d: cursor records diverge from Scan (%d vs %d)",
-					cfg.ps, cfg.batch, len(got.Records), len(want.Records))
-			}
-			if !sameSlices(got.Unavailable, want.Unavailable) {
-				t.Fatalf("ps=%d batch=%d: cursor dark %v, Scan dark %v",
-					cfg.ps, cfg.batch, got.Unavailable, want.Unavailable)
-			}
-			if got.PagesRead != want.PagesRead {
-				t.Fatalf("ps=%d batch=%d: cursor PagesRead %d, Scan %d",
-					cfg.ps, cfg.batch, got.PagesRead, want.PagesRead)
-			}
-			if cursorStats := st.Stats(); cursorStats != scanStats {
-				t.Fatalf("cursor stats %+v, Scan stats %+v", cursorStats, scanStats)
+			// Twice back to back: the second cursor runs on the buffers the
+			// first one gave back.
+			for pass := 0; pass < 2; pass++ {
+				st.ResetStats()
+				cur, err := st.ScanCursor(ivs, store.ScanBatchSize(cfg.batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainCursor(t, ctx, cur, c)
+				if !sameSlices(got.Records, want.Records) {
+					t.Fatalf("ps=%d batch=%d pass=%d: cursor records diverge from Scan (%d vs %d)",
+						cfg.ps, cfg.batch, pass, len(got.Records), len(want.Records))
+				}
+				if !sameSlices(got.Unavailable, want.Unavailable) {
+					t.Fatalf("ps=%d batch=%d pass=%d: cursor dark %v, Scan dark %v",
+						cfg.ps, cfg.batch, pass, got.Unavailable, want.Unavailable)
+				}
+				if got.PagesRead != want.PagesRead {
+					t.Fatalf("ps=%d batch=%d pass=%d: cursor PagesRead %d, Scan %d",
+						cfg.ps, cfg.batch, pass, got.PagesRead, want.PagesRead)
+				}
+				if cursorStats := st.Stats(); cursorStats != scanStats {
+					t.Fatalf("pass=%d: cursor stats %+v, Scan stats %+v", pass, cursorStats, scanStats)
+				}
 			}
 		}
 	}
@@ -226,21 +230,24 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, err := d.ScanCursor(ivs, store.ScanBatchSize(1+rq.Intn(64)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainCursor(t, ctx, cur, h)
-			if !sameSlices(got.Records, want.Records) {
-				t.Fatalf("seed %d: durable cursor records diverge (%d vs %d)",
-					lossSeed, len(got.Records), len(want.Records))
-			}
-			if !sameSlices(query.MergeIntervals(got.Unavailable), want.Unavailable) {
-				t.Fatalf("seed %d: durable cursor dark %v, Scan dark %v",
-					lossSeed, got.Unavailable, want.Unavailable)
-			}
-			if got.PagesRead != want.PagesRead {
-				t.Fatalf("seed %d: durable cursor PagesRead %d, Scan %d", lossSeed, got.PagesRead, want.PagesRead)
+			batch := 1 + rq.Intn(64)
+			for pass := 0; pass < 2; pass++ { // the second on recycled buffers
+				cur, err := d.ScanCursor(ivs, store.ScanBatchSize(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainCursor(t, ctx, cur, h)
+				if !sameSlices(got.Records, want.Records) {
+					t.Fatalf("seed %d pass %d: durable cursor records diverge (%d vs %d)",
+						lossSeed, pass, len(got.Records), len(want.Records))
+				}
+				if !sameSlices(query.MergeIntervals(got.Unavailable), want.Unavailable) {
+					t.Fatalf("seed %d pass %d: durable cursor dark %v, Scan dark %v",
+						lossSeed, pass, got.Unavailable, want.Unavailable)
+				}
+				if got.PagesRead != want.PagesRead {
+					t.Fatalf("seed %d pass %d: durable cursor PagesRead %d, Scan %d", lossSeed, pass, got.PagesRead, want.PagesRead)
+				}
 			}
 		}
 		if err := d.Close(); err != nil {
@@ -259,25 +266,29 @@ func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
 		withFaults(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, nil))
 	ctx := context.Background()
-	cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}}, store.ScanStrict())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	for i := 0; ; i++ {
-		_, err := cur.Next(ctx)
+	// Twice: the second cursor runs on the buffers the failed first one
+	// gave back half full.
+	for pass := 0; pass < 2; pass++ {
+		cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}}, store.ScanStrict())
 		if err != nil {
-			if !errors.Is(err, store.ErrPageUnavailable) {
-				t.Fatalf("strict cursor err = %v, want ErrPageUnavailable", err)
-			}
-			if _, again := cur.Next(ctx); !errors.Is(again, store.ErrPageUnavailable) {
-				t.Fatalf("error not sticky: %v", again)
-			}
-			return
+			t.Fatal(err)
 		}
-		if i > 1000 {
-			t.Fatal("strict cursor never failed over a lost page")
+		for i := 0; ; i++ {
+			_, err := cur.Next(ctx)
+			if err != nil {
+				if !errors.Is(err, store.ErrPageUnavailable) {
+					t.Fatalf("strict cursor err = %v, want ErrPageUnavailable", err)
+				}
+				if _, again := cur.Next(ctx); !errors.Is(again, store.ErrPageUnavailable) {
+					t.Fatalf("error not sticky: %v", again)
+				}
+				break
+			}
+			if i > 1000 {
+				t.Fatal("strict cursor never failed over a lost page")
+			}
 		}
+		cur.Close()
 	}
 }
 

@@ -18,9 +18,9 @@ type Page struct {
 // PageDevice is the storage medium leaf pages are fetched from. The default
 // device is the infallible in-memory MemDevice built by Bulkload; fallible
 // media (disk simulations, fault injectors) implement the same interface and
-// are installed with SetDevice. Inner index levels always stay in RAM — the
-// fault model covers leaf I/O, which is where the paper's page-access cost
-// lives.
+// are installed with WithDevice or WithDeviceWrapper. Inner index levels
+// always stay in RAM — the fault model covers leaf I/O, which is where the
+// paper's page-access cost lives.
 //
 // Implementations must be safe for concurrent ReadPage calls.
 type PageDevice interface {

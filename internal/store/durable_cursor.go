@@ -40,7 +40,11 @@ func (d *Durable) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCur
 	if err := validateScanIntervals(ivs); err != nil {
 		return nil, err
 	}
-	c := &durableCursor{batch: cfg.batch, srcs: make([]durableSource, 0, len(snapshot)+1)}
+	c := &durableCursor{
+		batch: cfg.batch,
+		srcs:  make([]durableSource, 0, len(snapshot)+1),
+		out:   scanBufs.Get().(*scanBuf),
+	}
 	for _, r := range snapshot {
 		cur, err := r.st.ScanCursor(ivs, opts...)
 		if err != nil {
@@ -124,9 +128,7 @@ type durableCursor struct {
 
 	pagesThis int
 
-	outRecs []Record
-	outKeys []uint64
-	outDark []query.Interval
+	out *scanBuf // output buffer, recycled like storeCursor's; nil once closed
 
 	done bool
 	err  error
@@ -139,9 +141,8 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 	if c.done {
 		return Batch{}, io.EOF
 	}
-	c.outRecs = c.outRecs[:0]
-	c.outKeys = c.outKeys[:0]
-	c.outDark = c.outDark[:0]
+	out := c.out
+	out.rewind()
 	c.pagesThis = 0
 	var lastKey uint64
 	haveLast := false
@@ -166,7 +167,7 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 				s.recs, s.keys, s.pos, s.wm = b.Records, b.Keys, 0, b.Watermark
 				c.pagesThis += b.PagesRead
 				for _, ks := range b.Dark {
-					c.outDark = append(c.outDark, ks)
+					out.dark = append(out.dark, ks)
 					s.addDark(ks)
 				}
 			}
@@ -183,7 +184,7 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 		// A full batch still consumes candidates tied with the last
 		// emitted key: leaving one buffered would drag the frontier — the
 		// batch watermark — down to a key the batch already contains.
-		if len(c.outRecs) >= c.batch && (!haveLast || pk != lastKey) {
+		if len(out.recs) >= c.batch && (!haveLast || pk != lastKey) {
 			break
 		}
 		s := &c.srcs[pick]
@@ -192,8 +193,8 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 		if c.darkContains(pk) || c.shadowed(pick, pk, rec.Payload) {
 			continue
 		}
-		c.outRecs = append(c.outRecs, rec)
-		c.outKeys = append(c.outKeys, pk)
+		out.recs = append(out.recs, rec)
+		out.keys = append(out.keys, pk)
 		lastKey, haveLast = pk, true
 	}
 	wm := uint64(math.MaxUint64)
@@ -212,18 +213,22 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 			}
 		}
 	}
-	if c.done && len(c.outRecs) == 0 && len(c.outDark) == 0 && c.pagesThis == 0 {
+	if c.done && len(out.recs) == 0 && len(out.dark) == 0 && c.pagesThis == 0 {
 		return Batch{}, io.EOF
 	}
 	return Batch{
-		Records:   c.outRecs,
-		Keys:      c.outKeys,
-		Dark:      c.outDark,
+		Records:   out.recs,
+		Keys:      out.keys,
+		Dark:      out.dark,
 		Watermark: wm,
 		PagesRead: c.pagesThis,
 	}, nil
 }
 
+// Close closes the run cursors before releasing the merge's own buffer:
+// every durableSource.recs aliases its child's buffer, so the sources are
+// dropped with the children and nothing of this cursor can reach a buffer
+// that has gone back to the free list.
 func (c *durableCursor) Close() {
 	c.done = true
 	for i := range c.srcs {
@@ -232,7 +237,10 @@ func (c *durableCursor) Close() {
 		}
 	}
 	c.srcs = nil
-	c.outRecs, c.outKeys, c.outDark = nil, nil, nil
+	if c.out != nil {
+		c.out.release()
+		c.out = nil
+	}
 }
 
 func (c *durableCursor) fail(err error) (Batch, error) {

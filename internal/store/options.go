@@ -13,8 +13,7 @@ type buildConfig struct {
 }
 
 // Option configures Bulkload. Options are applied in order; later options
-// override earlier ones. The legacy Config struct satisfies Option, so old
-// Bulkload(c, recs, cfg) call sites compile unchanged.
+// override earlier ones.
 type Option interface {
 	apply(*buildConfig) error
 }

@@ -14,7 +14,7 @@
 // Leaf pages are fetched through a pluggable PageDevice. The default device
 // is infallible RAM; installing a fallible device (see internal/faultio)
 // turns on per-page checksum verification and bounded retry with
-// exponential backoff, and RangeQueryDegraded answers queries even when
+// exponential backoff, and Scan (like ScanCursor) answers queries even when
 // pages stay dark — returning the records it could read plus the exact
 // curve intervals it could not serve. On a proximity-preserving curve a
 // lost page owns a contiguous curve segment, so that report stays short;
@@ -133,8 +133,7 @@ type Store struct {
 // Bulkload builds a store over the records through the given curve. The
 // input is not retained; records may share cells. Geometry, device and retry
 // policy are set by functional options (WithPageSize, WithFanout,
-// WithDevice, WithDeviceWrapper, WithRetryPolicy); the legacy Config struct
-// also satisfies Option, so pre-option call sites compile unchanged.
+// WithDevice, WithDeviceWrapper, WithRetryPolicy).
 func Bulkload(c curve.Curve, recs []Record, opts ...Option) (*Store, error) {
 	cfg := buildConfig{pageSize: 64, fanout: 64}
 	for _, opt := range opts {

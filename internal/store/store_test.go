@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -232,5 +233,38 @@ func TestLRU(t *testing.T) {
 	}
 	if hit(2) {
 		t.Fatal("page 2 should have been evicted by re-admitting 1")
+	}
+}
+
+// TestCursorCloseLeavesNoRecordInItsBuffer: a buffer on the free list must
+// not pin store pages, so Close zeroes every record slot the cursor ever
+// filled — also those beyond the last batch's length.
+func TestCursorCloseLeavesNoRecordInItsBuffer(t *testing.T) {
+	u := grid.MustNew(2, 5)
+	st, err := Bulkload(curve.NewHilbert(u), randomRecords(u, 3000, 2), WithPageSize(16), WithFanout(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := []query.Interval{{Lo: 0, Hi: u.N()}}
+	ctx := context.Background()
+	for _, drain := range []bool{false, true} {
+		cur, err := st.ScanCursor(full, ScanBatchSize(700))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A long first batch, then (when draining) shorter ones on the way
+		// to io.EOF: the used prefix is longer than the final length.
+		for n := 0; n == 0 || drain; n++ {
+			if _, err := cur.Next(ctx); err != nil {
+				break
+			}
+		}
+		buf := cur.(*storeCursor).out
+		cur.Close()
+		for i, r := range buf.recs[:cap(buf.recs)] {
+			if r.Point != nil || r.Payload != 0 {
+				t.Fatalf("drain=%v: slot %d of a released buffer still holds %v", drain, i, r)
+			}
+		}
 	}
 }

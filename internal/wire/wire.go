@@ -222,7 +222,13 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // ReadFrame reads one frame from r. The payload is freshly allocated, so
 // the frame stays valid across subsequent reads. A clean EOF at a frame
 // boundary returns io.EOF; EOF inside a frame is ErrTruncated.
-func ReadFrame(r io.Reader) (Frame, error) {
+func ReadFrame(r io.Reader) (Frame, error) { return ReadFrameInto(r, nil) }
+
+// ReadFrameInto is ReadFrame with the payload read into buf's backing array
+// when its capacity suffices (a fresh slice otherwise), for a reader whose
+// consumers hand payloads back once decoded. The frame's payload is then
+// only valid until buf is reused.
+func ReadFrameInto(r io.Reader, buf []byte) (Frame, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -247,7 +253,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: payload length %d exceeds %d", ErrCorrupt, n, MaxFramePayload)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if int(n) > cap(buf) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Frame{}, ErrTruncated

@@ -120,6 +120,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := ReadFrame(r); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
+
+	// ReadFrameInto reads the same frames into one caller-owned buffer,
+	// using it whenever the payload fits and leaving it alone when not.
+	r = bytes.NewReader(buf)
+	scratch := make([]byte, 0, 16)
+	for i, want := range frames {
+		got, err := ReadFrameInto(r, scratch)
+		if err != nil {
+			t.Fatalf("read frame %d into scratch: %v", i, err)
+		}
+		if got.Type != want.Type || got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("read frame %d into scratch: got %+v want %+v", i, got, want)
+		}
+		if n := len(want.Payload); n > 0 {
+			if inScratch := &got.Payload[0] == &scratch[:1][0]; inScratch != (n <= cap(scratch)) {
+				t.Fatalf("frame %d: %d-byte payload, %d-byte scratch: read into scratch = %v", i, n, cap(scratch), inScratch)
+			}
+		}
+	}
 }
 
 // TestTornFrameEveryOffset: truncating an encoded frame at every byte
