@@ -67,8 +67,8 @@ func (t *BinaryTransport) init() {
 }
 
 // conn returns a live pooled connection, dialing if the slot is empty or
-// its connection died. Dial failures are retryable: the daemon may be
-// restarting.
+// its connection died. A failed dial sent nothing: the daemon may be
+// restarting, and any operation may be repeated.
 func (t *BinaryTransport) conn(ctx context.Context) (*binConn, error) {
 	if t.closed.Load() {
 		return nil, ErrTransportClosed
@@ -88,208 +88,59 @@ func (t *BinaryTransport) conn(ctx context.Context) (*binConn, error) {
 	nc, err := d.DialContext(ctx, "tcp", t.Addr)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, fmt.Errorf("client: %w", ctx.Err())
+			return nil, canceled(ctx, false)
 		}
-		return nil, retryable(fmt.Errorf("client: dial %s: %w", t.Addr, err))
+		return nil, broken(false, fmt.Errorf("client: dial %s: %w", t.Addr, err))
 	}
 	s.bc = newBinConn(nc)
 	return s.bc, nil
 }
 
-// Query implements Transport: one pipelined box query, response stream
-// drained into a buffered QueryResponse.
-func (t *BinaryTransport) Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error) {
-	st, err := t.QueryStream(ctx, b, timeout)
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	defer st.Close()
-	return st.Collect()
-}
-
 // QueryStream implements Transport: a box query whose record batches arrive
 // in curve order while the server is still scanning later intervals.
 func (t *BinaryTransport) QueryStream(ctx context.Context, b query.Box, timeout time.Duration) (*Stream, error) {
-	eff, err := effectiveTimeout(ctx, timeout)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := wire.AppendQueryRequest(nil, wire.QueryRequest{Lo: b.Lo, Hi: b.Hi, Timeout: eff})
+	payload, err := wire.AppendQueryRequest(nil, wire.QueryRequest{Lo: b.Lo, Hi: b.Hi, Timeout: timeout})
 	if err != nil {
 		return nil, err
 	}
 	return t.openStream(ctx, wire.TQuery, payload)
 }
 
-// Scan implements Transport: a streaming scan drained into a buffered
-// QueryResponse.
-func (t *BinaryTransport) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error) {
-	st, err := t.ScanStream(ctx, ivs, timeout)
-	if err != nil {
-		return server.QueryResponse{}, err
-	}
-	defer st.Close()
-	return st.Collect()
-}
-
 // ScanStream implements Transport: records arrive in curve-order batches
 // while the server is still scanning later intervals.
 func (t *BinaryTransport) ScanStream(ctx context.Context, ivs []query.Interval, timeout time.Duration) (*Stream, error) {
-	eff, err := effectiveTimeout(ctx, timeout)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{Ivs: ivs, Timeout: eff})
+	payload, err := wire.AppendScanRequest(nil, wire.ScanRequest{Ivs: ivs, Timeout: timeout})
 	if err != nil {
 		return nil, err
 	}
 	return t.openStream(ctx, wire.TScan, payload)
 }
 
-// Put implements Transport: one TPut frame, answered by a TWriteAck.
-func (t *BinaryTransport) Put(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
-	return t.doWrite(ctx, wire.TPut, rec, timeout)
-}
-
-// Delete implements Transport: one TDelete frame, answered by a TWriteAck.
-func (t *BinaryTransport) Delete(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
-	return t.doWrite(ctx, wire.TDelete, rec, timeout)
-}
-
-// Flush implements Transport: one TFlush frame, answered by a TWriteAck.
-func (t *BinaryTransport) Flush(ctx context.Context, timeout time.Duration) (server.WriteResponse, error) {
-	eff, err := effectiveTimeout(ctx, timeout)
+// Write implements Transport: one TPut, TDelete or TFlush frame, answered
+// by a TWriteAck.
+func (t *BinaryTransport) Write(ctx context.Context, op WriteOp, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
+	var payload []byte
+	var err error
+	if op == OpFlush {
+		payload, err = wire.AppendFlushRequest(nil, wire.FlushRequest{Timeout: timeout})
+	} else {
+		payload, err = wire.AppendWriteRequest(nil, wire.WriteRequest{Point: rec.Point, Payload: rec.Payload, Timeout: timeout})
+	}
 	if err != nil {
 		return server.WriteResponse{}, err
 	}
-	payload, err := wire.AppendFlushRequest(nil, wire.FlushRequest{Timeout: eff})
+	ack, err := roundTrip(ctx, t, writeOps[op].frame, payload, wire.TWriteAck, wire.DecodeWriteAckPayload)
 	if err != nil {
-		return server.WriteResponse{}, err
+		return server.WriteResponse{}, resolve(writeOps[op].kind, err)
 	}
-	return t.roundTripWrite(ctx, wire.TFlush, payload)
-}
-
-// doWrite encodes and round-trips one TPut/TDelete request.
-func (t *BinaryTransport) doWrite(ctx context.Context, ftype uint8, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
-	eff, err := effectiveTimeout(ctx, timeout)
-	if err != nil {
-		return server.WriteResponse{}, err
-	}
-	payload, err := wire.AppendWriteRequest(nil, wire.WriteRequest{Point: rec.Point, Payload: rec.Payload, Timeout: eff})
-	if err != nil {
-		return server.WriteResponse{}, err
-	}
-	return t.roundTripWrite(ctx, ftype, payload)
-}
-
-// roundTripWrite sends one write frame and waits for its TWriteAck,
-// classifying failures by whether the frame can have reached the server:
-// dial failures and dead-before-send connections stay plainly retryable,
-// while any failure after the frame hit the socket — connection death,
-// context expiry — is a *MaybeAppliedError. A server answering with a
-// TError decides the classification itself: refusal codes it sends before
-// touching state (shed, draining, read-only) are the server marking the
-// attempt safe to repeat or terminal; deadline and internal failures are
-// maybe-applied.
-func (t *BinaryTransport) roundTripWrite(ctx context.Context, ftype uint8, payload []byte) (server.WriteResponse, error) {
-	bc, err := t.conn(ctx)
-	if err != nil {
-		return server.WriteResponse{}, err
-	}
-	pr, sent, err := bc.sendClassified(ftype, payload)
-	if err != nil {
-		if sent {
-			return server.WriteResponse{}, maybeApplied(err)
-		}
-		return server.WriteResponse{}, err
-	}
-	defer pr.cancel()
-	f, err := pr.wait(ctx, bc)
-	if err != nil {
-		// The frame left the client; a dead connection or an expired
-		// context no longer proves the server did not apply it.
-		var re *RetryableError
-		if errors.As(err, &re) {
-			err = re.Err
-		}
-		return server.WriteResponse{}, maybeApplied(err)
-	}
-	switch f.Type {
-	case wire.TWriteAck:
-		ack, err := wire.DecodeWriteAckPayload(f.Payload)
-		if err != nil {
-			bc.fail(err)
-			return server.WriteResponse{}, maybeApplied(err)
-		}
-		bc.recycle(f.Payload)
-		return server.WriteResponse{OK: true, Acked: ack.Acked, Required: ack.Required}, nil
-	case wire.TError:
-		return server.WriteResponse{}, writeErrorFromFrame(bc, f)
-	default:
-		err := fmt.Errorf("client: unexpected frame type 0x%02x answering write", f.Type)
-		bc.fail(err)
-		return server.WriteResponse{}, maybeApplied(err)
-	}
-}
-
-// writeErrorFromFrame maps a write-answering TError to the client's error
-// vocabulary. Unlike errorFromFrame, ambiguity matters here: only codes
-// the server guarantees were raised before touching the WAL may come back
-// retryable.
-func writeErrorFromFrame(bc *binConn, f wire.Frame) error {
-	e, err := wire.DecodeErrorPayload(f.Payload)
-	if err != nil {
-		bc.fail(err)
-		return maybeApplied(err)
-	}
-	bc.recycle(f.Payload)
-	var hint time.Duration = -1
-	if e.RetryAfterSec >= 0 {
-		hint = time.Duration(e.RetryAfterSec) * time.Second
-	}
-	switch e.Code {
-	case wire.CodeOverloaded:
-		return &RetryableError{RetryAfter: hint, Err: fmt.Errorf("%w: %s", ErrOverloaded, e.Msg)}
-	case wire.CodeUnavailable:
-		return &RetryableError{RetryAfter: hint, Err: fmt.Errorf("%w: %s", ErrUnavailable, e.Msg)}
-	case wire.CodeReadOnly:
-		return fmt.Errorf("%w: %s", ErrReadOnly, e.Msg)
-	case wire.CodeBadRequest:
-		return fmt.Errorf("client: server rejected write: %s", e.Msg)
-	case wire.CodeDeadline:
-		return maybeApplied(fmt.Errorf("client: server deadline exceeded: %s", e.Msg))
-	default:
-		return maybeApplied(fmt.Errorf("client: server error: %s", e.Msg))
-	}
+	return server.WriteResponse{OK: true, Acked: ack.Acked, Required: ack.Required}, nil
 }
 
 // Ping round-trips a TPing frame, reporting the daemon's readiness over
 // the binary listener.
 func (t *BinaryTransport) Ping(ctx context.Context) (bool, error) {
-	bc, err := t.conn(ctx)
-	if err != nil {
-		return false, err
-	}
-	pr, err := bc.send(wire.TPing, nil)
-	if err != nil {
-		return false, err
-	}
-	defer pr.cancel()
-	f, err := pr.wait(ctx, bc)
-	if err != nil {
-		return false, err
-	}
-	if f.Type != wire.TPong {
-		bc.fail(fmt.Errorf("client: %v frame answering ping", f.Type))
-		return false, retryable(fmt.Errorf("client: unexpected frame type 0x%02x answering ping", f.Type))
-	}
-	p, err := wire.DecodePongPayload(f.Payload)
-	if err != nil {
-		bc.fail(err)
-		return false, err
-	}
-	bc.recycle(f.Payload)
-	return p.Ready, nil
+	p, err := roundTrip(ctx, t, wire.TPing, nil, wire.TPong, wire.DecodePongPayload)
+	return p.Ready, resolve(kindRead, err)
 }
 
 // Close implements Transport: closes every pooled connection. In-flight
@@ -308,124 +159,89 @@ func (t *BinaryTransport) Close() error {
 	return nil
 }
 
-// openStream sends one request frame and waits for the first response
-// frame, so retryable refusals (shed, draining) surface here — before a
-// Stream exists — and the Client's retry loop can repeat the attempt. The
-// first accepted frame is pushed back into the returned Stream.
-func (t *BinaryTransport) openStream(ctx context.Context, ftype uint8, payload []byte) (*Stream, error) {
+// open is the one wire attempt: send one request frame on a pooled
+// connection and wait for the first frame of the answer, so a refusal
+// (shed, draining — sent before the server does any work) surfaces here.
+// Every failure is a *failure for resolve to judge; the caller owns the
+// returned request and must cancel it.
+func (t *BinaryTransport) open(ctx context.Context, ftype uint8, payload []byte) (*pendingReq, wire.Frame, error) {
 	bc, err := t.conn(ctx)
 	if err != nil {
-		return nil, err
+		return nil, wire.Frame{}, err
 	}
 	pr, err := bc.send(ftype, payload)
 	if err != nil {
-		return nil, err
+		return nil, wire.Frame{}, err
 	}
-	first, err := pr.wait(ctx, bc)
+	first, err := pr.next(ctx)
 	if err != nil {
 		pr.cancel()
-		return nil, err
+		return nil, wire.Frame{}, err
 	}
-	if first.Type == wire.TError {
-		pr.cancel()
-		return nil, errorFromFrame(bc, first)
-	}
-	return newBinaryStream(ctx, bc, pr, first), nil
+	return pr, first, nil
 }
 
-// newBinaryStream wraps a demultiplexed response-frame sequence as a
-// Stream. pushback is the already-received first frame.
-func newBinaryStream(ctx context.Context, bc *binConn, pr *pendingReq, pushback wire.Frame) *Stream {
+// roundTrip is open for the requests a single frame answers (writes,
+// pings): the answer must be a want frame that decode accepts.
+func roundTrip[T any](ctx context.Context, t *BinaryTransport, ftype uint8, payload []byte, want uint8, decode func([]byte) (T, error)) (T, error) {
+	pr, f, err := t.open(ctx, ftype, payload)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer pr.cancel()
+	return expect(pr.bc, f, want, decode)
+}
+
+// openStream opens a read: the first accepted frame is pushed back into
+// the returned Stream, and only failures before it are the open's — and so
+// the retry loop's — to see.
+func (t *BinaryTransport) openStream(ctx context.Context, ftype uint8, payload []byte) (*Stream, error) {
+	pr, pushback, err := t.open(ctx, ftype, payload)
+	if err != nil {
+		return nil, resolve(kindRead, err)
+	}
 	havePushback := true
 	var slab []uint32
-	s := &Stream{stop: pr.cancel}
-	s.recv = func(s *Stream) ([]store.Record, error) {
-		var f wire.Frame
+	return &Stream{stop: pr.cancel, recv: func(s *Stream) ([]store.Record, error) {
+		f, err := pushback, error(nil)
 		if havePushback {
-			f, havePushback = pushback, false
-		} else {
-			var err error
-			f, err = pr.wait(ctx, bc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		switch f.Type {
-		case wire.TBatch:
-			var recs []store.Record
-			var err error
-			recs, slab, err = wire.DecodeBatchInto(f.Payload, nil, slab)
-			if err != nil {
-				bc.fail(err)
-				return nil, err
-			}
-			// The records live in slab, which is not recycled (batches stay
-			// valid after later Next calls); the payload is dead.
-			bc.recycle(f.Payload)
-			return recs, nil
-		case wire.TTrailer:
-			tr, err := wire.DecodeTrailerPayload(f.Payload)
-			if err != nil {
-				bc.fail(err)
-				return nil, err
-			}
-			bc.recycle(f.Payload)
-			s.trailer, s.haveTrailer = tr, true
-			return nil, io.EOF
-		case wire.TError:
-			return nil, errorFromFrame(bc, f)
-		default:
-			err := fmt.Errorf("client: unexpected frame type 0x%02x in scan stream", f.Type)
-			bc.fail(err)
+			havePushback = false
+		} else if f, err = pr.next(ctx); err != nil {
 			return nil, err
 		}
-	}
-	return s
+		if f.Type != wire.TBatch {
+			if s.trailer, err = expect(pr.bc, f, wire.TTrailer, wire.DecodeTrailerPayload); err != nil {
+				return nil, err
+			}
+			s.haveTrailer = true
+			return nil, io.EOF
+		}
+		var recs []store.Record
+		if recs, slab, err = wire.DecodeBatchInto(f.Payload, nil, slab); err != nil {
+			return nil, pr.bc.violation(err)
+		}
+		// The records live in slab, which is not recycled (batches stay
+		// valid after later Next calls); the payload is dead.
+		pr.bc.recycle(f.Payload)
+		return recs, nil
+	}}, nil
 }
 
-// errorFromFrame maps a TError frame to the client's error vocabulary:
-// shed and draining answers are retryable with the server's hint; bad
-// requests, deadline expiries, and internal failures are terminal.
-func errorFromFrame(bc *binConn, f wire.Frame) error {
-	e, err := wire.DecodeErrorPayload(f.Payload)
+// expect decodes a frame that must be of type want, handing its payload
+// back to the connection's reader. Any other frame, or a payload decode
+// rejects, is the server off-protocol: the connection is retired.
+func expect[T any](bc *binConn, f wire.Frame, want uint8, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	if f.Type != want {
+		return zero, bc.violation(fmt.Errorf("client: unexpected frame type 0x%02x, want 0x%02x", f.Type, want))
+	}
+	v, err := decode(f.Payload)
 	if err != nil {
-		bc.fail(err)
-		return err
+		return zero, bc.violation(err)
 	}
 	bc.recycle(f.Payload)
-	var hint time.Duration = -1
-	if e.RetryAfterSec >= 0 {
-		hint = time.Duration(e.RetryAfterSec) * time.Second
-	}
-	switch e.Code {
-	case wire.CodeOverloaded:
-		return &RetryableError{RetryAfter: hint, Err: fmt.Errorf("%w: %s", ErrOverloaded, e.Msg)}
-	case wire.CodeUnavailable:
-		return &RetryableError{RetryAfter: hint, Err: fmt.Errorf("%w: %s", ErrUnavailable, e.Msg)}
-	case wire.CodeBadRequest:
-		return fmt.Errorf("client: server rejected request: %s", e.Msg)
-	case wire.CodeDeadline:
-		return fmt.Errorf("client: server deadline exceeded: %s", e.Msg)
-	default:
-		return fmt.Errorf("client: server error: %s", e.Msg)
-	}
-}
-
-// effectiveTimeout resolves the server-side deadline to request: the call
-// option's timeout, clamped by the context's remaining budget so the
-// server never works past the moment the client stops listening.
-func effectiveTimeout(ctx context.Context, opt time.Duration) (time.Duration, error) {
-	eff := opt
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return 0, fmt.Errorf("client: %w", context.DeadlineExceeded)
-		}
-		if eff == 0 || rem < eff {
-			eff = rem
-		}
-	}
-	return eff, nil
+	return v, nil
 }
 
 // binConn is one persistent pipelined connection: a writer-side mutex
@@ -452,7 +268,6 @@ type binConn struct {
 
 // pendingReq is one in-flight request's demultiplexing endpoint.
 type pendingReq struct {
-	id     uint64
 	bc     *binConn
 	ch     chan wire.Frame
 	done   chan struct{}
@@ -548,23 +363,21 @@ func (bc *binConn) readLoop() {
 	}
 }
 
-// send registers a fresh request id and writes one request frame.
-// Write failures retire the connection and are retryable — the request
-// may not have reached the server, and reads are idempotent.
-func (bc *binConn) send(ftype uint8, payload []byte) (*pendingReq, error) {
-	pr, _, err := bc.sendClassified(ftype, payload)
-	return pr, err
+// violation retires the connection over an answer that breaks the
+// protocol and reports it as the server's failure: terminal for a read,
+// maybe-applied for a put.
+func (bc *binConn) violation(err error) *failure {
+	bc.fail(err)
+	return &failure{class: classInternal, sent: true, hint: -1, err: err}
 }
 
-// sendClassified is send with the information write callers need: sent
-// reports whether the frame write was attempted on the socket — false
-// means the request provably never left this process, true with an error
-// means its fate is unknown. The error itself is retryable either way; the
-// write path upgrades sent-but-failed attempts to *MaybeAppliedError.
-func (bc *binConn) sendClassified(ftype uint8, payload []byte) (pr *pendingReq, sent bool, err error) {
+// send registers a fresh request id and writes one request frame. A
+// connection found dead before the write proves the request never left
+// this process; a failed write retires the connection and leaves the
+// request's fate unknown.
+func (bc *binConn) send(ftype uint8, payload []byte) (*pendingReq, error) {
 	id := bc.nextID.Add(1)
-	pr = &pendingReq{
-		id:   id,
+	pr := &pendingReq{
 		bc:   bc,
 		ch:   make(chan wire.Frame, 32),
 		done: make(chan struct{}),
@@ -582,7 +395,7 @@ func (bc *binConn) sendClassified(ftype uint8, payload []byte) (pr *pendingReq, 
 	if bc.err != nil {
 		err := bc.err
 		bc.mu.Unlock()
-		return nil, false, retryable(err)
+		return nil, broken(false, err)
 	}
 	bc.pending[id] = pr
 	bc.mu.Unlock()
@@ -594,25 +407,38 @@ func (bc *binConn) sendClassified(ftype uint8, payload []byte) (pr *pendingReq, 
 	if werr != nil {
 		bc.fail(fmt.Errorf("client: wire write: %w", werr))
 		pr.cancel()
-		return nil, true, retryable(werr)
+		return nil, broken(true, werr)
 	}
-	return pr, true, nil
+	return pr, nil
 }
 
-// wait blocks for the request's next response frame.
-func (pr *pendingReq) wait(ctx context.Context, bc *binConn) (wire.Frame, error) {
+// next blocks for the request's next response frame. A TError frame comes
+// back as the *failure it announces — this is the one place the client
+// decodes one — as do a dead connection and an ended ctx.
+func (pr *pendingReq) next(ctx context.Context) (wire.Frame, error) {
+	var f wire.Frame
 	select {
-	case f := <-pr.ch:
-		return f, nil
-	case <-bc.dead:
+	case f = <-pr.ch:
+	case <-pr.bc.dead:
 		// Drain any frame racing with the death notification.
 		select {
-		case f := <-pr.ch:
-			return f, nil
+		case f = <-pr.ch:
 		default:
+			return wire.Frame{}, broken(true, pr.bc.failure())
 		}
-		return wire.Frame{}, retryable(bc.failure())
 	case <-ctx.Done():
-		return wire.Frame{}, fmt.Errorf("client: %w", ctx.Err())
+		return wire.Frame{}, canceled(ctx, true)
 	}
+	if f.Type != wire.TError {
+		return f, nil
+	}
+	e, err := expect(pr.bc, f, wire.TError, wire.DecodeErrorPayload)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	hint := time.Duration(-1)
+	if e.RetryAfterSec >= 0 {
+		hint = time.Duration(e.RetryAfterSec) * time.Second
+	}
+	return wire.Frame{}, refused(classOfCode(e.Code), hint, e.Msg)
 }

@@ -91,42 +91,6 @@ func TestRetryThenSuccess(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHonored: a Retry-After hint overrides the computed
-// exponential backoff; without the hint the policy's backoff is used.
-func TestRetryAfterHonored(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch calls.Add(1) {
-		case 1:
-			w.Header().Set("Retry-After", "2")
-			w.WriteHeader(http.StatusTooManyRequests)
-		case 2:
-			w.WriteHeader(http.StatusTooManyRequests) // no hint
-		default:
-			okBody(t, w)
-		}
-	}))
-	defer ts.Close()
-
-	rp := RetryPolicy{MaxAttempts: 4, BaseBackoff: 8 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-	c := New(ts.URL, WithRetryPolicy(rp))
-	sleeps := recordedSleeps(c)
-	if _, err := c.QueryBox(context.Background(), testBox(t)); err != nil {
-		t.Fatal(err)
-	}
-	if len(*sleeps) != 2 {
-		t.Fatalf("sleeps: %v", *sleeps)
-	}
-	if (*sleeps)[0] != 2*time.Second {
-		t.Fatalf("Retry-After: 2 gave backoff %v, want 2s", (*sleeps)[0])
-	}
-	// No hint after the second failed attempt: the policy's exponential
-	// backoff, doubled once from the 8ms base, with ±25% jitter.
-	if d := (*sleeps)[1]; d < 12*time.Millisecond || d > 20*time.Millisecond {
-		t.Fatalf("hintless backoff %v outside jittered [12ms, 20ms]", d)
-	}
-}
-
 // TestNoRetryAfterPartialBody: a 200 whose body is cut short must not be
 // retried — the server sees exactly one request and the error says so.
 func TestNoRetryAfterPartialBody(t *testing.T) {
@@ -153,53 +117,6 @@ func TestNoRetryAfterPartialBody(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("server saw %d calls after a partial body, want exactly 1", calls.Load())
-	}
-}
-
-// TestNoRetryOnTerminalStatus: complete 400/500/504 answers are returned,
-// not retried.
-func TestNoRetryOnTerminalStatus(t *testing.T) {
-	for _, code := range []int{http.StatusBadRequest, http.StatusInternalServerError, http.StatusGatewayTimeout} {
-		var calls atomic.Int64
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			calls.Add(1)
-			w.WriteHeader(code)
-			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "nope"})
-		}))
-		c := New(ts.URL)
-		recordedSleeps(c)
-		if _, err := c.QueryBox(context.Background(), testBox(t)); err == nil {
-			t.Fatalf("status %d accepted", code)
-		}
-		if calls.Load() != 1 {
-			t.Fatalf("status %d retried: %d calls", code, calls.Load())
-		}
-		ts.Close()
-	}
-}
-
-// TestAttemptsExhausted: a persistently overloaded server exhausts the
-// bounded budget and the error wraps ErrOverloaded for errors.Is.
-func TestAttemptsExhausted(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusTooManyRequests)
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
-	recordedSleeps(c)
-	_, err := c.QueryBox(context.Background(), testBox(t))
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want MaxAttempts = 3", calls.Load())
-	}
-	if st := c.Stats(); st.Shed != 3 {
-		t.Fatalf("stats: %+v, want Shed = 3", st)
 	}
 }
 

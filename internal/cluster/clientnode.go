@@ -11,12 +11,12 @@ import (
 	"repro/internal/store"
 )
 
-// ClientNode adapts the HTTP client for one sfcserved daemon to the
-// router's Node interface: interval scans go through the daemon's /scan
-// endpoint, readiness through /readyz, writes through /put, /delete and
-// /flush (or their binary frames). Each node keeps its own client and
-// therefore its own retry budget — a failover or hedge to another node
-// never consumes this node's attempts.
+// ClientNode adapts the client for one sfcserved daemon — over whichever
+// transport it was built with — to the router's Node interface: interval
+// scans are a streamed TScan (or GET /scan), writes TPut/TDelete/TFlush (or
+// POST /put, /delete, /flush), readiness GET /readyz. Each node keeps its
+// own client and therefore its own retry budget — a failover or hedge to
+// another node never consumes this node's attempts.
 type ClientNode struct {
 	cl *client.Client
 }
@@ -25,9 +25,9 @@ type ClientNode struct {
 func NewClientNode(cl *client.Client) *ClientNode { return &ClientNode{cl: cl} }
 
 // Scan runs the interval scan against the daemon over the client's
-// streaming surface — incremental over the binary transport, a buffered
-// shim over JSON — accumulating batches into the store's result shape as
-// they arrive. Batches from the client stream stay valid across Next calls,
+// streaming surface — incremental over the binary transport, one batch
+// holding the whole answer over JSON — accumulating batches into the
+// store's result shape as they arrive. Batches from the client stream stay valid across Next calls,
 // so the records are appended without a per-record copy.
 func (n *ClientNode) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (store.ScanResult, error) {
 	st, err := n.cl.ScanStream(ctx, ivs, client.WithTimeout(timeout))
@@ -81,7 +81,8 @@ func (n *ClientNode) Flush(ctx context.Context, timeout time.Duration) error {
 }
 
 // Digest fetches the daemon's anti-entropy summary over ivs. Digests ride
-// the HTTP side channel (GET /digest) on both transports.
+// the HTTP side channel (GET /digest) on both transports: the wire
+// protocol has no digest frame.
 func (n *ClientNode) Digest(ctx context.Context, ivs []query.Interval, timeout time.Duration) (service.RangeDigest, error) {
 	return n.cl.Digest(ctx, ivs, client.WithTimeout(timeout))
 }

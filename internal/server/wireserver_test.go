@@ -30,6 +30,16 @@ func startWire(t *testing.T, srv *server.Server) string {
 	return l.Addr().String()
 }
 
+// collectOnce drains one transport-level attempt into the buffered answer:
+// what Client.QueryBox does inside its retry loop, without the loop.
+func collectOnce(st *client.Stream, err error) (server.QueryResponse, error) {
+	if err != nil {
+		return server.QueryResponse{}, err
+	}
+	defer st.Close()
+	return st.Collect()
+}
+
 // TestWireQueryMatchesInProcess: a box query over the binary transport
 // returns exactly what the service returns in-process — records in curve
 // order, pages read, shards queried.
@@ -53,7 +63,7 @@ func TestWireQueryMatchesInProcess(t *testing.T) {
 
 	tr := &client.BinaryTransport{Addr: addr}
 	defer tr.Close()
-	got, err := tr.Query(context.Background(), box, 0)
+	got, err := collectOnce(tr.QueryStream(context.Background(), box, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestWireBadRequestTerminal(t *testing.T) {
 	tr := &client.BinaryTransport{Addr: addr}
 	defer tr.Close()
 
-	_, err = tr.Scan(context.Background(), []query.Interval{{Lo: 9, Hi: 12}, {Lo: 0, Hi: 7}}, 0)
+	_, err = collectOnce(tr.ScanStream(context.Background(), []query.Interval{{Lo: 9, Hi: 12}, {Lo: 0, Hi: 7}}, 0))
 	if err == nil {
 		t.Fatal("unsorted intervals accepted")
 	}
@@ -180,7 +190,7 @@ func TestWirePipelining(t *testing.T) {
 				return
 			}
 			for i := 0; i < 4; i++ {
-				got, err := tr.Query(context.Background(), box, 0)
+				got, err := collectOnce(tr.QueryStream(context.Background(), box, 0))
 				if err != nil {
 					errs <- err
 					return
@@ -226,7 +236,7 @@ func TestWirePingAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tr.Query(context.Background(), box, 0)
+	_, err = collectOnce(tr.QueryStream(context.Background(), box, 0))
 	if err == nil {
 		t.Fatal("query after drain succeeded")
 	}
@@ -286,7 +296,7 @@ func TestWireDeadline(t *testing.T) {
 	defer tr.Close()
 
 	n := svc.Curve().Universe().N()
-	_, err = tr.Scan(context.Background(), []query.Interval{{Lo: 0, Hi: n}}, time.Millisecond)
+	_, err = collectOnce(tr.ScanStream(context.Background(), []query.Interval{{Lo: 0, Hi: n}}, time.Millisecond))
 	if err == nil {
 		t.Fatal("deadline ignored")
 	}

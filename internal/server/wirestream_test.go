@@ -100,7 +100,7 @@ func TestWireStreamDisconnectReleases(t *testing.T) {
 	defer tr2.Close()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		_, err := tr2.Query(context.Background(), box, 0)
+		_, err := collectOnce(tr2.QueryStream(context.Background(), box, 0))
 		if err == nil {
 			return
 		}
@@ -113,6 +113,57 @@ func TestWireStreamDisconnectReleases(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// tearingRelay listens between a client and the wire listener at addr. It
+// forwards every frame, except that on each of its first tear connections
+// it forwards the trailer's header and half its payload and then cuts the
+// connection: the torn-tail shape a crash leaves behind. Later connections
+// pass through whole.
+func tearingRelay(t *testing.T, addr string, tear int) string {
+	t.Helper()
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	forward := func(cc net.Conn, tear bool) {
+		defer cc.Close()
+		sc, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer sc.Close()
+		go io.Copy(sc, cc)
+		hdr := make([]byte, wire.HeaderSize)
+		for {
+			if _, err := io.ReadFull(sc, hdr); err != nil {
+				return
+			}
+			n := int64(binary.LittleEndian.Uint32(hdr[12:16]))
+			if tear && hdr[3] == wire.TTrailer {
+				cc.Write(hdr)
+				io.CopyN(cc, sc, n/2)
+				return
+			}
+			if _, err := cc.Write(hdr); err != nil {
+				return
+			}
+			if _, err := io.CopyN(cc, sc, n); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for i := 0; ; i++ {
+			cc, err := relay.Accept()
+			if err != nil {
+				return
+			}
+			go forward(cc, i < tear)
+		}
+	}()
+	return relay.Addr().String()
 }
 
 // TestWireTornConnectionTruncated: when the connection dies before the
@@ -128,47 +179,8 @@ func TestWireTornConnectionTruncated(t *testing.T) {
 	}
 	addr := startWire(t, srv)
 
-	relay, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	go func() {
-		cc, err := relay.Accept()
-		if err != nil {
-			return
-		}
-		defer cc.Close()
-		sc, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer sc.Close()
-		go io.Copy(sc, cc)
-		hdr := make([]byte, wire.HeaderSize)
-		for {
-			if _, err := io.ReadFull(sc, hdr); err != nil {
-				return
-			}
-			n := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-			if hdr[3] == wire.TTrailer {
-				// Forward the header and half the payload, then tear the
-				// connection: the torn-tail shape a crash leaves behind.
-				cc.Write(hdr)
-				io.CopyN(cc, sc, n/2)
-				return
-			}
-			if _, err := cc.Write(hdr); err != nil {
-				return
-			}
-			if _, err := io.CopyN(cc, sc, n); err != nil {
-				return
-			}
-		}
-	}()
-
 	n := svc.Curve().Universe().N()
-	tr := &client.BinaryTransport{Addr: relay.Addr().String(), Conns: 1}
+	tr := &client.BinaryTransport{Addr: tearingRelay(t, addr, 1), Conns: 1}
 	defer tr.Close()
 	st, err := tr.ScanStream(context.Background(), []query.Interval{{Lo: 0, Hi: n}}, 0)
 	if err != nil {
@@ -199,5 +211,69 @@ func TestWireTornConnectionTruncated(t *testing.T) {
 	}
 	if _, ok := st.Trailer(); ok {
 		t.Fatal("trailer reported present on a torn stream")
+	}
+}
+
+// TestTornAnswerRetryBoundary: the same torn first answer on either side of
+// the buffered/streaming boundary. A buffered QueryBox is open + drain
+// inside one attempt, so the tear is one failed attempt and the second
+// succeeds with the whole answer; a QueryBoxStream had its open accepted,
+// so the tear surfaces from Next — retryable for the caller to act on, not
+// retried by the client.
+func TestTornAnswerRetryBoundary(t *testing.T) {
+	svc := newTestService(t, 0)
+	srv, err := server.New(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := startWire(t, srv)
+	u := svc.Curve().Universe()
+	box, err := query.NewBox(u, u.MustPoint(0, 0), u.MustPoint(u.Side()-1, u.Side()-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.Range(context.Background(), box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newClient := func() *client.Client {
+		return client.New("", client.WithRetryPolicy(client.RetryPolicy{BaseBackoff: time.Millisecond}),
+			client.WithTransport(&client.BinaryTransport{Addr: tearingRelay(t, addr, 1), Conns: 1}))
+	}
+
+	cl := newClient()
+	defer cl.Close()
+	got, err := cl.QueryBox(context.Background(), box)
+	if err != nil {
+		t.Fatalf("buffered query through a relay tearing the first answer: %v", err)
+	}
+	if len(got.Records) != len(want.Records) || !got.Complete {
+		t.Fatalf("second attempt returned %d records (complete=%v), want %d", len(got.Records), got.Complete, len(want.Records))
+	}
+	for i, r := range want.Records {
+		if !r.Point.Equal(got.Records[i].Point) || r.Payload != got.Records[i].Payload {
+			t.Fatalf("record %d: %v/%d want %v/%d", i, got.Records[i].Point, got.Records[i].Payload, r.Point, r.Payload)
+		}
+	}
+	if st := cl.Stats(); st.Retries != 1 || st.Attempts != 2 {
+		t.Fatalf("stats %+v, want exactly one retry", st)
+	}
+
+	cl = newClient()
+	defer cl.Close()
+	st, err := cl.QueryBoxStream(context.Background(), box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for err == nil {
+		_, err = st.Next()
+	}
+	var re *client.RetryableError
+	if !errors.Is(err, wire.ErrTruncated) || !errors.As(err, &re) {
+		t.Fatalf("torn stream ended with %v, want wire.ErrTruncated as a *RetryableError", err)
+	}
+	if st := cl.Stats(); st.Retries != 0 || st.Attempts != 1 {
+		t.Fatalf("stats %+v: a torn stream must not be retried by the client", st)
 	}
 }

@@ -19,9 +19,8 @@ var ErrReadOnly = errors.New("service: read-only (no durable directory)")
 // shardScanner is the query surface both shard kinds share: the immutable
 // bulkloaded *store.Store and the durable LSM *store.Durable satisfy it with
 // the same curve-order and dark-interval contract, so the fan-out/merge in
-// Range works unchanged over either.
+// ScanStream works unchanged over either.
 type shardScanner interface {
-	Scan(ctx context.Context, ivs []query.Interval, opts ...store.ScanOption) (store.ScanResult, error)
 	ScanCursor(ivs []query.Interval, opts ...store.ScanOption) (store.BatchCursor, error)
 }
 
@@ -86,43 +85,19 @@ func (s *Service) Durable(j int) *store.Durable {
 // DurableMode reports whether the service was built with WithDurableDir.
 func (s *Service) DurableMode() bool { return s.durables != nil }
 
-// WriteOption tunes one Put or Delete call, mirroring the store's
-// context-first Scan/ScanOption surface so HTTP, wire, and router callers
-// share one API.
-type WriteOption interface{ applyWrite(*writeConfig) }
-
-type writeConfig struct {
-	flush bool
-}
-
-type writeOptionFunc func(*writeConfig)
-
-func (f writeOptionFunc) applyWrite(c *writeConfig) { f(c) }
-
-// WriteFlush asks the call to flush the owning shard's memtable to an
-// on-disk run after the write applies — the anti-entropy repair path uses
-// it on its final write so a repaired node is durable before revival.
-func WriteFlush() WriteOption {
-	return writeOptionFunc(func(c *writeConfig) { c.flush = true })
-}
-
 // Put durably inserts r into the shard owning its curve position. The write
 // is acknowledged only after it is synced to that shard's WAL.
-func (s *Service) Put(ctx context.Context, r store.Record, opts ...WriteOption) error {
-	return s.write(ctx, r, (*store.Durable).Put, opts)
+func (s *Service) Put(ctx context.Context, r store.Record) error {
+	return s.write(ctx, r, (*store.Durable).Put)
 }
 
 // Delete durably removes every stored instance equal to r (same point, same
 // payload) from the shard owning its curve position.
-func (s *Service) Delete(ctx context.Context, r store.Record, opts ...WriteOption) error {
-	return s.write(ctx, r, (*store.Durable).Delete, opts)
+func (s *Service) Delete(ctx context.Context, r store.Record) error {
+	return s.write(ctx, r, (*store.Durable).Delete)
 }
 
-func (s *Service) write(ctx context.Context, r store.Record, op func(*store.Durable, context.Context, store.Record) error, opts []WriteOption) error {
-	var cfg writeConfig
-	for _, o := range opts {
-		o.applyWrite(&cfg)
-	}
+func (s *Service) write(ctx context.Context, r store.Record, op func(*store.Durable, context.Context, store.Record) error) error {
 	if s.durables == nil {
 		return fmt.Errorf("service: write: %w", ErrReadOnly)
 	}
@@ -140,11 +115,6 @@ func (s *Service) write(ctx context.Context, r store.Record, op func(*store.Dura
 		return fmt.Errorf("service: shard %d: %w", j, err)
 	}
 	s.writes.Inc()
-	if cfg.flush {
-		if err := s.durables[j].Flush(ctx); err != nil {
-			return fmt.Errorf("service: flushing shard %d: %w", j, err)
-		}
-	}
 	return nil
 }
 
