@@ -13,7 +13,7 @@ import (
 // boxQuerySeedPath replicates the pre-device box query — records scanned
 // straight out of the flat in-memory arrays — as the baseline the device
 // indirection is measured against. It must stay behaviorally identical to
-// RangeQuery on the default device.
+// ScanBox on the default device.
 func (st *Store) boxQuerySeedPath(b query.Box) []Record {
 	var out []Record
 	touched := map[int]bool{}

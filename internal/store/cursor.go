@@ -16,10 +16,9 @@ import (
 // size so a streaming server fills frames without re-chunking.
 const DefaultScanBatch = 4096
 
-// Batch is one increment of a cursor scan. Draining a cursor yields exactly
-// the records, dark intervals, and page charges a single Scan over the same
-// intervals would return — the batches are a partition of the ScanResult,
-// not an approximation of it.
+// Batch is one increment of a cursor scan. The batches are a partition of
+// the ScanResult, not an approximation of it: Collect over the drained
+// cursor is what Scan returns.
 //
 // Ownership: Records, Keys and Dark alias buffers the cursor took from a
 // process-wide free list when it was opened and gives back in Close, after
@@ -118,8 +117,9 @@ func (b *scanBuf) release() {
 }
 
 // validateScanIntervals checks the sorted-disjoint precondition the cursor
-// watermark logic relies on (Scan merely documents it; the cursor enforces
-// it because a violation would silently break downstream merges).
+// watermark logic relies on. Every scan is a cursor, so every scan enforces
+// it: a violation would silently break the dark tiling and downstream
+// merges.
 func validateScanIntervals(ivs []query.Interval) error {
 	for i, iv := range ivs {
 		if iv.Lo > iv.Hi {
@@ -133,9 +133,8 @@ func validateScanIntervals(ivs []query.Interval) error {
 }
 
 // ScanCursor opens an incremental scan over the given sorted, disjoint
-// curve intervals. Draining the cursor is bit-identical to Scan: same
-// records in the same order, same merged dark tiling, same PagesRead, and
-// identical Stats charges — the cursor exists so the service layer can
+// curve intervals — the store's one scan implementation; Scan is this
+// cursor drained by Collect. It is incremental so the service layer can
 // stream batches onto the wire while later intervals are still being read,
 // bounding per-request memory by the batch size instead of the result
 // size.
@@ -156,15 +155,15 @@ func (st *Store) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCurs
 
 // storeCursor walks intervals in order and pages within each interval in
 // order, which makes the page sequence globally non-decreasing — one
-// memoized current page replaces Scan's page cache, and a page shared by
-// the tail of one interval and the head of the next is fetched (and
-// counted) once, exactly like the cache would.
+// memoized current page is all the caching a scan needs, and a page shared
+// by the tail of one interval and the head of the next is fetched (and
+// counted) once.
 //
-// Correctness hinges on two facts Scan gets by running in two passes:
+// Answering in one pass hinges on two facts:
 //
 //   - A record on a readable page can be retroactively darkened only by a
-//     failed page that shares its key across the page boundary (Scan
-//     withholds every record whose key lands in a dark span). Such a key
+//     failed page that shares its key across the page boundary (a record
+//     whose key lands in a dark span is withheld). Such a key
 //     is by construction the first key of the next page, so the cursor
 //     holds back exactly the records with key >= the next page's first key
 //     until that page's fate is known, and drops held records a new dark
@@ -328,9 +327,9 @@ func (c *storeCursor) fail(err error) (Batch, error) {
 	return Batch{}, err
 }
 
-// getPage mirrors pageCache.get's charging: one leaf read per distinct
-// page, fetch errors memoized so a page shared by two intervals is neither
-// re-fetched nor re-counted.
+// getPage charges one leaf read per distinct page — the classic cost
+// model, whatever the physical retries — and memoizes fetch errors too, so
+// a page shared by two intervals is neither re-fetched nor re-counted.
 func (c *storeCursor) getPage(id int) (Page, error) {
 	if id == c.curID {
 		return c.curPg, c.curErr

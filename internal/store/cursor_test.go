@@ -3,9 +3,10 @@ package store_test
 import (
 	"context"
 	"errors"
-	"io"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/curve"
@@ -15,65 +16,22 @@ import (
 	"repro/internal/store"
 )
 
-// drainCursor collects a cursor into the ScanResult shape, checking the
-// batch invariants along the way: Keys aligned with Records, every key
-// below the batch watermark, and nothing — record key or dark span Lo —
-// ever arriving below an earlier watermark.
-func drainCursor(t *testing.T, ctx context.Context, cur store.BatchCursor, c curve.Curve) store.ScanResult {
-	t.Helper()
-	var res store.ScanResult
-	prevWM := uint64(0)
-	for {
-		b, err := cur.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("cursor Next: %v", err)
-		}
-		if len(b.Keys) != len(b.Records) {
-			t.Fatalf("batch has %d keys for %d records", len(b.Keys), len(b.Records))
-		}
-		for i, r := range b.Records {
-			k := b.Keys[i]
-			if c != nil && c.Index(r.Point) != k {
-				t.Fatalf("key %d does not match record %v (index %d)", k, r.Point, c.Index(r.Point))
-			}
-			if k >= b.Watermark {
-				t.Fatalf("key %d at or above its batch watermark %d", k, b.Watermark)
-			}
-			if k < prevWM {
-				t.Fatalf("key %d below an earlier watermark %d", k, prevWM)
-			}
-		}
-		for _, d := range b.Dark {
-			if d.Lo < prevWM {
-				t.Fatalf("dark span [%d, %d) starts below an earlier watermark %d", d.Lo, d.Hi, prevWM)
-			}
-		}
-		prevWM = b.Watermark
-		res.Records = append(res.Records, b.Records...)
-		res.Unavailable = append(res.Unavailable, b.Dark...)
-		res.PagesRead += b.PagesRead
+// keyLoadOrder returns the records as a bulkload lays them out — ascending
+// curve key, load order within a key — with their key column.
+func keyLoadOrder(c curve.Curve, recs []store.Record) ([]uint64, []store.Record) {
+	sorted := append([]store.Record(nil), recs...)
+	sort.SliceStable(sorted, func(a, b int) bool { return c.Index(sorted[a].Point) < c.Index(sorted[b].Point) })
+	keys := make([]uint64, len(sorted))
+	for i, r := range sorted {
+		keys[i] = c.Index(r.Point)
 	}
-	res.Unavailable = query.MergeIntervals(res.Unavailable)
-	cur.Close()
-	return res
-}
-
-// sameSlices is reflect.DeepEqual with nil and empty considered equal —
-// the cursor accumulates into nil slices where Scan pre-allocates.
-func sameSlices[T any](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || reflect.DeepEqual(a, b)
+	return keys, sorted
 }
 
 // dupHeavyStore builds a store whose records are drawn from a small pool
 // of points, so long runs of duplicate curve keys straddle page
 // boundaries — the case the cursor's boundary holdback exists for.
-func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, ps int, opts ...store.Option) (curve.Curve, *store.Store) {
+func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, ps int, opts ...store.Option) (curve.Curve, []store.Record, *store.Store) {
 	t.Helper()
 	c, err := curve.ByName(name, u, seed)
 	if err != nil {
@@ -96,17 +54,21 @@ func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, see
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, st
+	return c, recs, st
 }
 
-// TestCursorEqualsScanProperty: draining ScanCursor is bit-identical to
-// Scan — records, merged dark tiling, PagesRead, and Stats charges — for
+// TestCursorEqualsScanProperty: the drained cursor and Scan — which is that
+// cursor behind Collect, so comparing the two would prove nothing — both
+// return exactly what the definitional oracle modelScan computes from the
+// bulk-loaded records and the injector's lost pages: records, merged dark
+// tiling, PagesRead, and the Stats charges of the classic cost model. For
 // random boxes over duplicate-heavy stores with injected page loss, across
-// page geometries and batch sizes.
+// page geometries and batch sizes, each case twice so the second pass runs
+// on recycled buffers; Scan is also the same at every batch size.
 func TestCursorEqualsScanProperty(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	ctx := context.Background()
-	for _, cfg := range []struct {
+	cfgs := []struct {
 		curveName string
 		ps        int
 		batch     int
@@ -118,21 +80,36 @@ func TestCursorEqualsScanProperty(t *testing.T) {
 		{"z", 2, 7, 0.3, 13},
 		{"z", 8, 4096, 0.1, 14},
 		{"snake", 16, 64, 0, 15},
-	} {
+	}
+	for _, cfg := range cfgs {
+		var inj *faultio.Injector
 		var opts []store.Option
 		if cfg.lostFrac > 0 {
-			opts = append(opts, withFaults(faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac}, nil))
+			opts = append(opts, withFaults(faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac}, &inj))
 		}
-		c, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, cfg.ps, opts...)
+		c, recs, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, cfg.ps, opts...)
+		keys, sorted := keyLoadOrder(c, recs)
+		var lost []int
+		if inj != nil {
+			lost = inj.Lost()
+		}
 		rng := rand.New(rand.NewSource(cfg.seed * 101))
+		degraded := 0
 		for q := 0; q < 12; q++ {
 			ivs := query.DecomposeBox(c, randomTestBox(rng, u))
-			st.ResetStats()
-			want, err := st.Scan(ctx, ivs)
-			if err != nil {
-				t.Fatal(err)
+			want := store.ModelScan(keys, sorted, cfg.ps, lost, ivs)
+			if !want.Complete() {
+				degraded++
 			}
-			scanStats := st.Stats()
+			label := fmt.Sprintf("%s ps=%d batch=%d box %d", cfg.curveName, cfg.ps, cfg.batch, q)
+			checkStats := func(label string) {
+				t.Helper()
+				got := st.Stats()
+				if got.Descents != len(ivs) || got.LeafReads != want.PagesRead || got.InnerReads != len(ivs)*st.Height() {
+					t.Fatalf("%s: stats %+v, want %d descents (one per interval), %d leaf reads, %d inner reads",
+						label, got, len(ivs), want.PagesRead, len(ivs)*st.Height())
+				}
+			}
 			// Twice back to back: the second cursor runs on the buffers the
 			// first one gave back.
 			for pass := 0; pass < 2; pass++ {
@@ -141,135 +118,44 @@ func TestCursorEqualsScanProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := drainCursor(t, ctx, cur, c)
-				if !sameSlices(got.Records, want.Records) {
-					t.Fatalf("ps=%d batch=%d pass=%d: cursor records diverge from Scan (%d vs %d)",
-						cfg.ps, cfg.batch, pass, len(got.Records), len(want.Records))
-				}
-				if !sameSlices(got.Unavailable, want.Unavailable) {
-					t.Fatalf("ps=%d batch=%d pass=%d: cursor dark %v, Scan dark %v",
-						cfg.ps, cfg.batch, pass, got.Unavailable, want.Unavailable)
-				}
-				if got.PagesRead != want.PagesRead {
-					t.Fatalf("ps=%d batch=%d pass=%d: cursor PagesRead %d, Scan %d",
-						cfg.ps, cfg.batch, pass, got.PagesRead, want.PagesRead)
-				}
-				if cursorStats := st.Stats(); cursorStats != scanStats {
-					t.Fatalf("pass=%d: cursor stats %+v, Scan stats %+v", pass, cursorStats, scanStats)
-				}
+				passLabel := fmt.Sprintf("%s cursor pass %d", label, pass)
+				store.SameResult(t, passLabel, store.DrainCursor(t, ctx, cur, c), want)
+				checkStats(passLabel)
 			}
-		}
-	}
-}
-
-// TestDurableCursorEqualsScan: the Durable cursor's k-way merge — runs,
-// tombstones, memtable — drains bit-identically to Durable.Scan, under
-// injected loss on the run devices.
-func TestDurableCursorEqualsScan(t *testing.T) {
-	u := grid.MustNew(2, 5)
-	h, err := curve.ByName("hilbert", u, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lossSeed := range []int64{0, 21, 22} {
-		wrap := store.DeviceWrapper(nil)
-		if lossSeed != 0 {
-			wrap = func(d store.PageDevice) (store.PageDevice, error) {
-				return faultio.Wrap(d, faultio.Config{Seed: lossSeed, LostFrac: 0.15})
-			}
-		}
-		opts := []store.DurableOption{
-			store.WithDurablePageSize(4),
-			store.WithMemLimit(1 << 20),
-			store.WithAutoCompact(false),
-		}
-		if wrap != nil {
-			opts = append(opts, store.WithRunWrapper(wrap))
-		}
-		d, err := store.OpenDurable(t.TempDir(), h, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		rng := rand.New(rand.NewSource(lossSeed + 7))
-		pool := make([]grid.Point, 30)
-		for i := range pool {
-			pool[i] = u.MustPoint(uint32(rng.Intn(int(u.Side()))), uint32(rng.Intn(int(u.Side()))))
-		}
-		var live []store.Record
-		// Three flushed runs with deletions in between (tombstones shadow
-		// older runs), then a resident memtable with more puts and deletes.
-		for round := 0; round < 4; round++ {
-			for i := 0; i < 150; i++ {
-				r := store.Record{Point: pool[rng.Intn(len(pool))], Payload: uint64(round*1000 + i)}
-				if err := d.Put(ctx, r); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live, r)
-			}
-			for i := 0; i < 20 && len(live) > 0; i++ {
-				j := rng.Intn(len(live))
-				if err := d.Delete(ctx, live[j]); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:j], live[j+1:]...)
-			}
-			if round < 3 {
-				if err := d.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if got := d.Runs(); got != 3 {
-			t.Fatalf("runs = %d, want 3", got)
-		}
-		rq := rand.New(rand.NewSource(lossSeed + 99))
-		for q := 0; q < 10; q++ {
-			ivs := query.DecomposeBox(h, randomTestBox(rq, u))
-			want, err := d.Scan(ctx, ivs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := 1 + rq.Intn(64)
-			for pass := 0; pass < 2; pass++ { // the second on recycled buffers
-				cur, err := d.ScanCursor(ivs, store.ScanBatchSize(batch))
+			for _, other := range cfgs {
+				st.ResetStats()
+				got, err := st.Scan(ctx, ivs, store.ScanBatchSize(other.batch))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := drainCursor(t, ctx, cur, h)
-				if !sameSlices(got.Records, want.Records) {
-					t.Fatalf("seed %d pass %d: durable cursor records diverge (%d vs %d)",
-						lossSeed, pass, len(got.Records), len(want.Records))
-				}
-				if !sameSlices(query.MergeIntervals(got.Unavailable), want.Unavailable) {
-					t.Fatalf("seed %d pass %d: durable cursor dark %v, Scan dark %v",
-						lossSeed, pass, got.Unavailable, want.Unavailable)
-				}
-				if got.PagesRead != want.PagesRead {
-					t.Fatalf("seed %d pass %d: durable cursor PagesRead %d, Scan %d", lossSeed, pass, got.PagesRead, want.PagesRead)
-				}
+				scanLabel := fmt.Sprintf("%s Scan at batch %d", label, other.batch)
+				store.SameResult(t, scanLabel, got, want)
+				checkStats(scanLabel)
 			}
 		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.ScanCursor(nil); !errors.Is(err, store.ErrClosed) {
-			t.Fatalf("ScanCursor on closed store: %v, want ErrClosed", err)
+		if (degraded > 0) != (cfg.lostFrac > 0) {
+			t.Fatalf("%s ps=%d: %d of 12 boxes degraded at loss %.2f — the row tests nothing it was built for",
+				cfg.curveName, cfg.ps, degraded, cfg.lostFrac)
 		}
 	}
 }
 
 // TestCursorStrictFailsOnDarkPage: under ScanStrict the cursor fails with
-// ErrPageUnavailable at the first lost page, and the error is sticky.
+// ErrPageUnavailable at the first lost page, and the error is sticky; a
+// strict Scan fails the same way and returns nothing. Whatever runs next
+// gets the buffers the failed scan gave back half full, and must not show
+// it.
 func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
-		withFaults(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, nil))
+	var inj *faultio.Injector
+	c, recs, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
+		withFaults(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, &inj))
 	ctx := context.Background()
-	// Twice: the second cursor runs on the buffers the failed first one
-	// gave back half full.
+	full := []query.Interval{{Lo: 0, Hi: u.N()}}
+	keys, sorted := keyLoadOrder(c, recs)
+	want := store.ModelScan(keys, sorted, 8, inj.Lost(), full)
 	for pass := 0; pass < 2; pass++ {
-		cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}}, store.ScanStrict())
+		cur, err := st.ScanCursor(full, store.ScanStrict())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,6 +175,18 @@ func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 			}
 		}
 		cur.Close()
+		res, err := st.Scan(ctx, full, store.ScanStrict(), store.ScanBatchSize(5))
+		if !errors.Is(err, store.ErrPageUnavailable) {
+			t.Fatalf("strict Scan err = %v, want ErrPageUnavailable", err)
+		}
+		if !reflect.DeepEqual(res, store.ScanResult{}) {
+			t.Fatalf("failed strict Scan returned %+v, want the zero ScanResult", res)
+		}
+		res, err = st.Scan(ctx, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.SameResult(t, fmt.Sprintf("degraded Scan after failed strict scans, pass %d", pass), res, want)
 	}
 }
 
@@ -313,16 +211,44 @@ func TestCursorContextCanceled(t *testing.T) {
 	}
 }
 
-// TestCursorRejectsUnsortedIntervals: the watermark contract needs sorted,
-// disjoint intervals, so the constructor enforces them.
+// openTestDurable opens an empty durable store over c in a fresh directory.
+func openTestDurable(t *testing.T, c curve.Curve) *store.Durable {
+	t.Helper()
+	d, err := store.OpenDurable(t.TempDir(), c, store.WithAutoCompact(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// TestCursorRejectsUnsortedIntervals: the watermark contract and the dark
+// tiling need sorted, disjoint intervals, and every scan — cursor or Scan,
+// Store or Durable — is the cursor that enforces them.
 func TestCursorRejectsUnsortedIntervals(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 100, 11, store.WithPageSize(4), store.WithFanout(4))
-	if _, err := st.ScanCursor([]query.Interval{{Lo: 10, Hi: 20}, {Lo: 5, Hi: 9}}); err == nil {
-		t.Fatal("unsorted intervals accepted")
-	}
-	if _, err := st.ScanCursor([]query.Interval{{Lo: 20, Hi: 10}}); err == nil {
-		t.Fatal("inverted interval accepted")
+	c, _, st := buildStore(t, u, "z", 100, 11, store.WithPageSize(4), store.WithFanout(4))
+	d := openTestDurable(t, c)
+	ctx := context.Background()
+	for name, ivs := range map[string][]query.Interval{
+		"unsorted":    {{Lo: 10, Hi: 20}, {Lo: 5, Hi: 9}},
+		"overlapping": {{Lo: 10, Hi: 20}, {Lo: 19, Hi: 30}},
+		"inverted":    {{Lo: 20, Hi: 10}},
+	} {
+		_, curErr := st.ScanCursor(ivs)
+		_, durCurErr := d.ScanCursor(ivs)
+		res, scanErr := st.Scan(ctx, ivs)
+		durRes, durScanErr := d.Scan(ctx, ivs)
+		for entry, err := range map[string]error{
+			"Store.ScanCursor": curErr, "Durable.ScanCursor": durCurErr, "Store.Scan": scanErr, "Durable.Scan": durScanErr,
+		} {
+			if err == nil {
+				t.Fatalf("%s accepted %s intervals", entry, name)
+			}
+		}
+		if !reflect.DeepEqual(res, store.ScanResult{}) || !reflect.DeepEqual(durRes, store.ScanResult{}) {
+			t.Fatalf("%s intervals: rejected Scans returned %+v and %+v", name, res, durRes)
+		}
 	}
 }
 

@@ -414,7 +414,7 @@ func (d *Durable) maybeCompactLocked() {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		d.compact()
+		d.compact(context.Background()) // the store owns this goroutine; Close waits for it
 	}()
 }
 
@@ -439,10 +439,10 @@ func (d *Durable) Compact(ctx context.Context) error {
 	}
 	d.compacting = true
 	d.mu.Unlock()
-	return d.compact()
+	return d.compact(ctx)
 }
 
-func (d *Durable) compact() error {
+func (d *Durable) compact(ctx context.Context) error {
 	defer func() {
 		d.mu.Lock()
 		d.compacting = false
@@ -454,9 +454,9 @@ func (d *Durable) compact() error {
 	if len(snapshot) < 2 {
 		return nil
 	}
-	keys, recs, err := mergeRuns(d.c, snapshot)
+	keys, recs, err := mergeRuns(ctx, d.c, snapshot)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: compacting: %w", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -499,115 +499,52 @@ func (d *Durable) compact() error {
 	return nil
 }
 
-// mergeRuns reads every record of the snapshotted runs (oldest to newest),
-// applies each run's tombstones to the accumulated older records, and
-// returns the survivors sorted by key, older instances first on ties.
-func mergeRuns(c curve.Curve, snapshot []*durableRun) ([]uint64, []Record, error) {
-	type keyed struct {
-		key uint64
-		rec Record
+// mergeRuns returns the survivors of the snapshotted runs sorted by key,
+// older instances first on ties, by draining the merge every read runs —
+// over the runs alone (no memtable) and the whole universe. The merge is
+// always strict: a degraded one would drop the records of a dark page from
+// the run that replaces these, so a page that stays dark fails compaction
+// instead, with an error naming the run.
+func mergeRuns(ctx context.Context, c curve.Curve, snapshot []*durableRun) ([]uint64, []Record, error) {
+	whole := []query.Interval{{Lo: 0, Hi: c.Universe().N()}}
+	cur, err := openMerge(snapshot, nil, nil, whole, ScanStrict())
+	if err != nil {
+		return nil, nil, err
 	}
-	var acc []keyed
+	defer cur.Close()
+	total := 0
 	for _, r := range snapshot {
-		acc = shadow(acc, r.tombKeys, r.tombs, func(k keyed) (uint64, uint64) { return k.key, k.rec.Payload })
-		for id := 0; id < r.st.NumPages(); id++ {
-			pg, err := r.st.fetchPage(id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("store: compacting %s: %w", r.name, err)
-			}
-			for i := range pg.Records {
-				acc = append(acc, keyed{pg.Keys[i], pg.Records[i]})
-			}
+		total += r.st.Len()
+	}
+	keys := make([]uint64, 0, total)
+	recs := make([]Record, 0, total)
+	for {
+		b, err := cur.Next(ctx)
+		if err == io.EOF {
+			return keys, recs, nil
 		}
-	}
-	sort.SliceStable(acc, func(a, b int) bool { return acc[a].key < acc[b].key })
-	keys := make([]uint64, len(acc))
-	recs := make([]Record, len(acc))
-	for i, k := range acc {
-		keys[i], recs[i] = k.key, k.rec
-	}
-	return keys, recs, nil
-}
-
-// shadow removes from acc every element matching a tombstone, using id to
-// project an element to its (key, payload) identity. Key equality implies
-// point equality (the curve is a bijection), so (key, payload) is the full
-// record identity.
-func shadow[T any](acc []T, tombKeys []uint64, tombs []Record, id func(T) (uint64, uint64)) []T {
-	if len(tombs) == 0 || len(acc) == 0 {
-		return acc
-	}
-	dead := make(map[[2]uint64]bool, len(tombs))
-	for i, tk := range tombKeys {
-		dead[[2]uint64{tk, tombs[i].Payload}] = true
-	}
-	kept := acc[:0]
-	for _, el := range acc {
-		k, p := id(el)
-		if !dead[[2]uint64{k, p}] {
-			kept = append(kept, el)
+		if err != nil {
+			return nil, nil, err
 		}
+		keys = append(keys, b.Keys...)
+		recs = append(recs, b.Records...)
 	}
-	return kept
 }
 
 // Scan answers a query over the merged store: every run plus the memtable,
-// newest shadowing oldest. Strictness and degraded tiling follow Store.Scan:
-// under ScanStrict the first dark page in any run fails the whole scan with
-// ErrPageUnavailable; in degraded mode the union of every run's dark
-// intervals is reported, and records whose keys fall inside it are withheld
-// even when some run could serve them — so Records plus Unavailable tile
-// the scanned intervals exactly, the same contract a single store gives.
+// newest shadowing oldest — ScanCursor drained by Collect. Strictness and
+// degraded tiling follow Store.Scan: under ScanStrict the first dark page
+// in any run fails the whole scan with ErrPageUnavailable; in degraded mode
+// the union of every run's dark intervals is reported, and records whose
+// keys fall inside it are withheld even when some run could serve them —
+// so Records plus Unavailable tile the scanned intervals exactly, the same
+// contract a single store gives.
 func (d *Durable) Scan(ctx context.Context, ivs []query.Interval, opts ...ScanOption) (ScanResult, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ScanResult{}, ErrClosed
+	cur, err := d.ScanCursor(ivs, opts...)
+	if err != nil {
+		return ScanResult{}, err
 	}
-	snapshot := d.runs[:len(d.runs):len(d.runs)]
-	puts, tombs := d.mem.Sorted()
-	d.mu.Unlock()
-
-	type keyed struct {
-		key uint64
-		rec Record
-	}
-	var acc []keyed
-	var dark []query.Interval
-	pagesRead := 0
-	for _, r := range snapshot {
-		res, err := r.st.Scan(ctx, ivs, opts...)
-		pagesRead += res.PagesRead
-		if err != nil {
-			return ScanResult{PagesRead: pagesRead}, err
-		}
-		dark = append(dark, res.Unavailable...)
-		acc = shadow(acc, r.tombKeys, r.tombs, func(k keyed) (uint64, uint64) { return k.key, k.rec.Payload })
-		for _, rec := range res.Records {
-			acc = append(acc, keyed{d.c.Index(rec.Point), rec})
-		}
-	}
-	memTombKeys := make([]uint64, len(tombs))
-	memTombs := make([]Record, len(tombs))
-	for i, e := range tombs {
-		memTombKeys[i], memTombs[i] = e.Key, Record{Point: grid.Point(e.Point), Payload: e.Payload}
-	}
-	acc = shadow(acc, memTombKeys, memTombs, func(k keyed) (uint64, uint64) { return k.key, k.rec.Payload })
-	for _, e := range puts {
-		if query.IntervalsContain(ivs, e.Key) {
-			acc = append(acc, keyed{e.Key, Record{Point: grid.Point(e.Point).Clone(), Payload: e.Payload}})
-		}
-	}
-	dark = query.MergeIntervals(dark)
-	sort.SliceStable(acc, func(a, b int) bool { return acc[a].key < acc[b].key })
-	out := make([]Record, 0, len(acc))
-	for _, k := range acc {
-		if query.IntervalsContain(dark, k.key) {
-			continue
-		}
-		out = append(out, k.rec)
-	}
-	return ScanResult{Records: out, Unavailable: dark, PagesRead: pagesRead}, nil
+	return Collect(ctx, cur)
 }
 
 // ScanBox decomposes the box through the store's curve and scans it.

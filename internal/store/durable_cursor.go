@@ -2,20 +2,22 @@ package store
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/grid"
 	"repro/internal/query"
+	"repro/internal/wal"
 )
 
 // ScanCursor opens an incremental scan over the merged store: a k-way
 // merge of one cursor per run (oldest first) plus the memtable, newest
-// shadowing oldest through tombstones, exactly like Scan. Draining it is
-// bit-identical to Scan over the same snapshot: same records in the same
-// order (stable on key ties: oldest run first, memtable puts last), same
-// merged dark tiling with records inside it withheld even when some run
-// could serve them, same summed PagesRead.
+// shadowing oldest through tombstones. Records come in ascending key order,
+// stable on key ties (oldest run first, memtable puts last); a key inside
+// the merged dark tiling of the runs is withheld even when some run could
+// serve it; PagesRead sums over the runs.
 //
 // The snapshot is taken at open: writes landing after ScanCursor returns
 // are not observed. The cursor stays valid across concurrent flushes and
@@ -30,7 +32,13 @@ func (d *Durable) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCur
 	snapshot := d.runs[:len(d.runs):len(d.runs)]
 	puts, tombs := d.mem.Sorted()
 	d.mu.Unlock()
+	return openMerge(snapshot, puts, tombs, ivs, opts...)
+}
 
+// openMerge opens the merge over the given runs (oldest first) and, as the
+// newest source, a memtable's sorted puts and tombstones — none when
+// compaction merges the runs alone.
+func openMerge(runs []*durableRun, puts, tombs []wal.Entry, ivs []query.Interval, opts ...ScanOption) (BatchCursor, error) {
 	cfg := scanConfig{batch: DefaultScanBatch}
 	for _, opt := range opts {
 		if opt != nil {
@@ -42,16 +50,16 @@ func (d *Durable) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCur
 	}
 	c := &durableCursor{
 		batch: cfg.batch,
-		srcs:  make([]durableSource, 0, len(snapshot)+1),
+		srcs:  make([]durableSource, 0, len(runs)+1),
 		out:   scanBufs.Get().(*scanBuf),
 	}
-	for _, r := range snapshot {
+	for _, r := range runs {
 		cur, err := r.st.ScanCursor(ivs, opts...)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.srcs = append(c.srcs, durableSource{cur: cur, dead: tombSet(r.tombKeys, r.tombs)})
+		c.srcs = append(c.srcs, durableSource{name: r.name, cur: cur, dead: tombSet(r.tombKeys, r.tombs)})
 	}
 	// The memtable is the newest source: fully resident, so it arrives as
 	// one pre-filtered buffered batch. Its tombstones shadow every run but
@@ -76,8 +84,8 @@ func (d *Durable) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCur
 }
 
 // tombSet builds the (key, payload) identity set of one source's
-// tombstones — the same projection Scan's shadow uses. Key equality
-// implies point equality (the curve is a bijection).
+// tombstones. Key equality implies point equality (the curve is a
+// bijection), so (key, payload) is the full record identity.
 func tombSet(tombKeys []uint64, tombs []Record) map[[2]uint64]bool {
 	if len(tombs) == 0 {
 		return nil
@@ -93,6 +101,7 @@ func tombSet(tombKeys []uint64, tombs []Record) map[[2]uint64]bool {
 // memtable), its currently buffered batch, and the shadowing state it
 // contributes.
 type durableSource struct {
+	name string      // run file name; empty for the memtable leg
 	cur  BatchCursor // nil for the memtable leg
 	recs []Record    // buffered batch (aliases cur's buffers)
 	keys []uint64
@@ -162,6 +171,10 @@ func (c *durableCursor) Next(ctx context.Context) (Batch, error) {
 					break
 				}
 				if err != nil {
+					if errors.Is(err, ErrPageUnavailable) {
+						// Only a strict run cursor fails on a page; say whose.
+						err = fmt.Errorf("store: run %s: %w", s.name, err)
+					}
 					return c.fail(err)
 				}
 				s.recs, s.keys, s.pos, s.wm = b.Records, b.Keys, 0, b.Watermark

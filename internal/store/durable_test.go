@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/curve"
 	"repro/internal/grid"
 	"repro/internal/query"
+	"repro/internal/wal"
 )
 
 // durableModel is the ground truth a durable store is checked against: the
@@ -54,6 +56,32 @@ func (m *durableModel) expect() []Record {
 		out[i] = k.rec
 	}
 	return out
+}
+
+// scan is the durable oracle: what a degraded scan of ivs must return from
+// d while it holds exactly the model's records. The records are expect()'s,
+// kept when their key is in an interval and outside the dark union; the
+// union and PagesRead come from modelScan over each run's key column and
+// the pages its blackoutDevice has lost (every run's device must be one).
+func (m *durableModel) scan(d *Durable, ivs []query.Interval) ScanResult {
+	var res ScanResult
+	var spans []query.Interval
+	for _, r := range d.runs {
+		var lost []int
+		for p := range r.st.device.(*blackoutDevice).dead {
+			lost = append(lost, p)
+		}
+		run := modelScan(r.st.keys, nil, r.st.pageSize, lost, ivs)
+		spans = append(spans, run.Unavailable...)
+		res.PagesRead += run.PagesRead
+	}
+	res.Unavailable = modelUnion(spans)
+	for _, r := range m.expect() {
+		if k := m.c.Index(r.Point); modelCovers(ivs, k) && !modelCovers(res.Unavailable, k) {
+			res.Records = append(res.Records, r)
+		}
+	}
+	return res
 }
 
 func wholeUniverse(u *grid.Universe) []query.Interval {
@@ -542,5 +570,204 @@ func TestDurableStrictSurfacesErrPageUnavailable(t *testing.T) {
 		if err := d.Delete(ctx, r); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestDurableCursorEqualsScan: Durable.Scan and the drained Durable cursor
+// — one k-way merge of runs, tombstones and memtable — both return what the
+// durable oracle computes, with a seeded sixth of every run's pages lost.
+// Each box at a random batch size, the cursor twice so the second pass runs
+// on recycled buffers.
+func TestDurableCursorEqualsScan(t *testing.T) {
+	u := grid.MustNew(2, 5)
+	h := curve.NewHilbert(u)
+	ctx := context.Background()
+	for _, lossSeed := range []int64{0, 21, 22} {
+		lossRng := rand.New(rand.NewSource(lossSeed))
+		wrap := func(dev PageDevice) (PageDevice, error) {
+			dead := map[int]bool{}
+			for p := 0; lossSeed != 0 && p < dev.NumPages(); p++ {
+				if lossRng.Float64() < 0.15 {
+					dead[p] = true
+				}
+			}
+			return &blackoutDevice{PageDevice: dev, dead: dead}, nil
+		}
+		d, err := OpenDurable(t.TempDir(), h, WithDurablePageSize(4), WithMemLimit(1<<20),
+			WithAutoCompact(false), WithRunWrapper(wrap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &durableModel{c: h}
+		rng := rand.New(rand.NewSource(lossSeed + 7))
+		pool := make([]grid.Point, 30)
+		for i := range pool {
+			pool[i] = u.MustPoint(uint32(rng.Intn(int(u.Side()))), uint32(rng.Intn(int(u.Side()))))
+		}
+		// Three flushed runs with deletions in between (tombstones shadow
+		// older runs), then a resident memtable with more puts and deletes.
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 150; i++ {
+				r := Record{Point: pool[rng.Intn(len(pool))], Payload: uint64(round*1000 + i)}
+				if err := d.Put(ctx, r); err != nil {
+					t.Fatal(err)
+				}
+				m.put(r)
+			}
+			for i := 0; i < 20; i++ {
+				r := m.recs[rng.Intn(len(m.recs))]
+				if err := d.Delete(ctx, r); err != nil {
+					t.Fatal(err)
+				}
+				m.delete(r)
+			}
+			if round < 3 {
+				if err := d.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := d.Runs(); got != 3 {
+			t.Fatalf("runs = %d, want 3", got)
+		}
+		rq := rand.New(rand.NewSource(lossSeed + 99))
+		degraded := 0
+		for q := 0; q < 10; q++ {
+			ivs := query.DecomposeBox(h, testBox(rq, u))
+			want := m.scan(d, ivs)
+			if !want.Complete() {
+				degraded++
+			}
+			batch := 1 + rq.Intn(64)
+			label := fmt.Sprintf("seed %d box %d batch %d", lossSeed, q, batch)
+			for _, opts := range [][]ScanOption{nil, {ScanBatchSize(batch)}} {
+				got, err := d.Scan(ctx, ivs, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, label+" Scan", got, want)
+			}
+			for pass := 0; pass < 2; pass++ {
+				cur, err := d.ScanCursor(ivs, ScanBatchSize(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("%s cursor pass %d", label, pass), drainCursor(t, ctx, cur, h), want)
+			}
+		}
+		if (degraded > 0) != (lossSeed != 0) {
+			t.Fatalf("seed %d: %d of 10 boxes degraded", lossSeed, degraded)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ScanCursor(nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("ScanCursor on closed store: %v, want ErrClosed", err)
+		}
+		if _, err := d.Scan(ctx, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Scan on closed store: %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestDurableCompactRefusesDarkPage: compaction never runs degraded. A
+// degraded merge would write a run without the dark page's records and
+// unlink the only files that hold them; instead Compact fails with
+// ErrPageUnavailable, names the run, and leaves store and directory as
+// they were — now and after a reopen.
+func TestDurableCompactRefusesDarkPage(t *testing.T) {
+	u := grid.MustNew(2, 4)
+	h := curve.NewHilbert(u)
+	dir := t.TempDir()
+	darkRun := wal.RunFileName(3) // the second flush's
+	wrap := func(dev PageDevice) (PageDevice, error) {
+		dead := map[int]bool{}
+		if filepath.Base(dev.(*FileDevice).Path()) == darkRun {
+			dead[1] = true
+		}
+		return &blackoutDevice{PageDevice: dev, dead: dead}, nil
+	}
+	opts := []DurableOption{WithDurablePageSize(4), WithAutoCompact(false), WithRunWrapper(wrap)}
+	d, err := OpenDurable(dir, h, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &durableModel{c: h}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 4; round++ { // three runs and a resident memtable
+		for i := 0; i < 30; i++ {
+			r := durableRec(u, rng, uint64(round*100+i))
+			if err := d.Put(ctx, r); err != nil {
+				t.Fatal(err)
+			}
+			m.put(r)
+		}
+		r := m.recs[rng.Intn(len(m.recs))]
+		if err := d.Delete(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+		m.delete(r)
+		if round < 3 {
+			if err := d.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type state struct {
+		runs     int
+		files    []string
+		manifest []byte
+		scan     ScanResult
+	}
+	observe := func(d *Durable) state {
+		t.Helper()
+		s := state{runs: d.Runs()}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.files = append(s.files, fmt.Sprintf("%s %d", e.Name(), info.Size()))
+		}
+		if s.manifest, err = os.ReadFile(filepath.Join(dir, wal.ManifestName)); err != nil {
+			t.Fatal(err)
+		}
+		if s.scan, err = d.Scan(ctx, wholeUniverse(u)); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	before := observe(d)
+	if before.runs != 3 || d.runs[1].name != darkRun || before.scan.Complete() {
+		t.Fatalf("setup: %d runs, second %s, scan complete=%v", before.runs, d.runs[1].name, before.scan.Complete())
+	}
+	sameResult(t, "degraded scan before compaction", before.scan, m.scan(d, wholeUniverse(u)))
+	for attempt := 0; attempt < 2; attempt++ { // a refused compaction leaves the next one free to try
+		err := d.Compact(ctx)
+		if !errors.Is(err, ErrPageUnavailable) || !strings.Contains(err.Error(), "compacting") || !strings.Contains(err.Error(), darkRun) {
+			t.Fatalf("Compact over a dark page: %v, want ErrPageUnavailable from compacting %s", err, darkRun)
+		}
+	}
+	if got := d.Metrics().Counter("durable.compactions").Value(); got != 0 {
+		t.Fatalf("durable.compactions = %d after refused compactions", got)
+	}
+	if after := observe(d); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused compaction changed the store:\n got %+v\nwant %+v", after, before)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDurable(dir, h, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if reopened := observe(d2); !reflect.DeepEqual(reopened, before) {
+		t.Fatalf("reopen after a refused compaction:\n got %+v\nwant %+v", reopened, before)
 	}
 }

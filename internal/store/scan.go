@@ -2,7 +2,7 @@ package store
 
 import (
 	"context"
-	"sort"
+	"io"
 
 	"repro/internal/query"
 )
@@ -12,9 +12,8 @@ import (
 // part it could not serve.
 type ScanResult struct {
 	// Records holds the readable records whose curve keys lie in the
-	// scanned intervals, in curve-interval scan order (ascending curve key
-	// within each interval, intervals in the given order — globally
-	// ascending when the input is sorted).
+	// scanned intervals, in ascending curve-key order (the intervals must be
+	// sorted and disjoint), records sharing a key in store order.
 	Records []Record
 	// Unavailable lists the curve-index intervals the store could not
 	// serve: sorted, disjoint, merged, and each contained in one of the
@@ -61,7 +60,8 @@ func ScanStrict() ScanOption {
 // ScanBatchSize sets the record count a ScanCursor targets per batch
 // (default DefaultScanBatch). A batch ends only on a page boundary, so a
 // run of duplicate keys can overshoot the target by up to a page. Values
-// below 1 are ignored; Scan itself ignores the option entirely.
+// below 1 are ignored. Scan accepts it too — it is the same cursor — and
+// returns the same ScanResult for every batch size.
 func ScanBatchSize(n int) ScanOption {
 	return scanOptionFunc(func(c *scanConfig) {
 		if n >= 1 {
@@ -70,14 +70,15 @@ func ScanBatchSize(n int) ScanOption {
 	})
 }
 
-// Scan is the store's single query entry point: it scans the given sorted,
-// disjoint curve intervals (as produced by query.DecomposeBox or a shared
-// decomposition cache) and returns the records whose keys they contain, in
-// curve order.
+// Scan is the buffered scan: ScanCursor over the given sorted, disjoint
+// curve intervals (as produced by query.DecomposeBox or a shared
+// decomposition cache), drained by Collect. It returns the records whose
+// keys the intervals contain, in curve order, and like the cursor rejects
+// unsorted, overlapping or inverted intervals.
 //
 // Cancellation and deadline are honored between leaf page reads, so a scan
-// over many pages stops within one page fetch of ctx ending; a canceled
-// scan returns the context's error, never a fabricated partial result.
+// over many pages stops within one page fetch of ctx ending, with the
+// context's error and the zero ScanResult — never a partial one.
 //
 // By default the scan is degraded: pages that stay unavailable after the
 // retry budget do not fail it — their key spans are subtracted from the
@@ -87,84 +88,39 @@ func ScanBatchSize(n int) ScanOption {
 // byte-identical records and charge identical Stats — degraded mode costs
 // nothing when nothing fails.
 func (st *Store) Scan(ctx context.Context, ivs []query.Interval, opts ...ScanOption) (ScanResult, error) {
-	var cfg scanConfig
-	for _, opt := range opts {
-		if opt != nil {
-			opt.applyScan(&cfg)
-		}
+	cur, err := st.ScanCursor(ivs, opts...)
+	if err != nil {
+		return ScanResult{}, err
 	}
-	cache := newPageCache(st)
-	type span struct {
-		iv     query.Interval
-		lo, hi int // slot range [lo, hi) of records inside iv
-	}
-	spans := make([]span, 0, len(ivs))
-	// Pass 1: locate each interval's slot range and fetch every page the
-	// scan touches, in scan order, collecting the dark key spans of failed
-	// pages (or failing fast under ScanStrict).
-	var dark []query.Interval
-	for _, iv := range ivs {
-		lo := st.descend(iv.Lo)
-		hi := lo + sort.Search(len(st.keys)-lo, func(i int) bool { return st.keys[lo+i] >= iv.Hi })
-		spans = append(spans, span{iv: iv, lo: lo, hi: hi})
-		if lo == hi {
-			continue
+	return Collect(ctx, cur)
+}
+
+// Collect drains cur into one ScanResult and closes it, on every path. The
+// records are copied out of the cursor's recycled buffers, the dark deltas
+// merged into the final tiling, the page charges summed. On any Next error
+// it returns the zero ScanResult and that error: a failed scan reports
+// nothing, not even the pages it had read.
+func Collect(ctx context.Context, cur BatchCursor) (ScanResult, error) {
+	defer cur.Close()
+	var res ScanResult
+	for {
+		b, err := cur.Next(ctx)
+		if err == io.EOF {
+			res.Unavailable = query.MergeIntervals(res.Unavailable)
+			return res, nil
 		}
-		for page := lo / st.pageSize; page <= (hi-1)/st.pageSize; page++ {
-			if err := ctx.Err(); err != nil {
-				return ScanResult{PagesRead: cache.pagesRead()}, err
-			}
-			if _, err := cache.get(page); err != nil {
-				if cfg.strict {
-					return ScanResult{PagesRead: cache.pagesRead()}, err
-				}
-				ks := st.pageKeySpan(page)
-				if ks.Lo < iv.Lo {
-					ks.Lo = iv.Lo
-				}
-				if ks.Hi > iv.Hi {
-					ks.Hi = iv.Hi
-				}
-				if ks.Lo < ks.Hi {
-					dark = append(dark, ks)
-				}
-			}
+		if err != nil {
+			return ScanResult{}, err
 		}
+		res.Records = append(res.Records, b.Records...)
+		res.Unavailable = append(res.Unavailable, b.Dark...)
+		res.PagesRead += b.PagesRead
 	}
-	dark = query.MergeIntervals(dark)
-	// Pass 2: collect records, skipping dark pages and any record whose key
-	// falls in a dark interval (duplicate keys straddling a page boundary
-	// are only partially readable, so the whole key goes dark).
-	var out []Record
-	cur := -1 // memoize the scan's current page: pages arrive consecutively
-	var pg Page
-	var pgErr error
-	for _, sp := range spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			if id := i / st.pageSize; id != cur {
-				pg, pgErr = cache.get(id)
-				cur = id
-			}
-			if pgErr != nil || query.IntervalsContain(dark, st.keys[i]) {
-				continue
-			}
-			out = append(out, pg.Records[i%st.pageSize])
-		}
-	}
-	return ScanResult{
-		Records:     out,
-		Unavailable: dark,
-		PagesRead:   cache.pagesRead(),
-	}, nil
 }
 
 // ScanBox decomposes the box through the store's curve and scans it — the
 // box-level convenience over Scan. Callers that share decompositions (the
-// service layer's cache) decompose once and call Scan directly.
+// service layer's cache) decompose once and pass the intervals.
 func (st *Store) ScanBox(ctx context.Context, b query.Box, opts ...ScanOption) (ScanResult, error) {
 	return st.Scan(ctx, query.DecomposeBox(st.c, b), opts...)
 }
-
-// pagesRead counts the distinct pages this cache touched, dark ones
-// included.
-func (pc *pageCache) pagesRead() int { return len(pc.pages) + len(pc.failed) }

@@ -128,18 +128,28 @@ func TestScanStrictFailsOnDarkPage(t *testing.T) {
 	}
 }
 
-// TestScanContextCanceled: a canceled context aborts the scan with the
-// context's error and no fabricated partial result.
+// TestScanContextCanceled: a canceled context aborts the scan — Store's and
+// Durable's — with the context's error and the zero ScanResult: no
+// fabricated partial result, no page charge either.
 func TestScanContextCanceled(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 1200, 11, store.WithPageSize(4), store.WithFanout(4))
+	c, recs, st := buildStore(t, u, "z", 1200, 11, store.WithPageSize(4), store.WithFanout(4))
+	d := openTestDurable(t, c)
+	if err := d.Bulkload(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := st.Scan(ctx, []query.Interval{{Lo: 0, Hi: u.N()}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(res.Records) != 0 || len(res.Unavailable) != 0 {
-		t.Fatalf("canceled scan fabricated a result: %+v", res)
+	full := []query.Interval{{Lo: 0, Hi: u.N()}}
+	for name, scan := range map[string]func(context.Context, []query.Interval, ...store.ScanOption) (store.ScanResult, error){
+		"Store.Scan": st.Scan, "Durable.Scan": d.Scan,
+	} {
+		res, err := scan(ctx, full)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if len(res.Records) != 0 || len(res.Unavailable) != 0 || res.PagesRead != 0 {
+			t.Fatalf("%s: canceled scan fabricated a result: %+v", name, res)
+		}
 	}
 }

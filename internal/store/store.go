@@ -312,36 +312,6 @@ func (st *Store) fetchPage(id int) (Page, error) {
 	return Page{}, fmt.Errorf("%w: page %d: %w", ErrPageUnavailable, id, lastErr)
 }
 
-// pageCache memoizes page fetches (including failed ones) for the duration
-// of one query, preserving the classic cost model: LeafReads charges each
-// distinct page once per operation regardless of physical retries.
-type pageCache struct {
-	st     *Store
-	pages  map[int]Page
-	failed map[int]error
-}
-
-func newPageCache(st *Store) *pageCache {
-	return &pageCache{st: st, pages: map[int]Page{}, failed: map[int]error{}}
-}
-
-func (pc *pageCache) get(id int) (Page, error) {
-	if pg, ok := pc.pages[id]; ok {
-		return pg, nil
-	}
-	if err, ok := pc.failed[id]; ok {
-		return Page{}, err
-	}
-	pc.st.stats.leafReads.Add(1)
-	pg, err := pc.st.fetchPage(id)
-	if err != nil {
-		pc.failed[id] = err
-		return Page{}, err
-	}
-	pc.pages[id] = pg
-	return pg, nil
-}
-
 // descend simulates a root-to-leaf search for key, charging one inner read
 // per level, and returns the index of the first record with key >= target.
 func (st *Store) descend(target uint64) int {
@@ -380,25 +350,27 @@ func (st *Store) pageKeySpan(page int) query.Interval {
 // Stats.PagesUnavailable.
 func (st *Store) PointQuery(p grid.Point) []Record {
 	target := st.c.Index(p)
-	i := st.descend(target)
-	cache := newPageCache(st)
+	lo := st.descend(target)
+	if len(st.keys) == 0 {
+		return nil
+	}
+	hi := lo
+	for hi < len(st.keys) && st.keys[hi] == target {
+		hi++
+	}
+	// The matches [lo, hi) sit on consecutive pages, each read once; a miss
+	// (lo == hi) still reads the page slot lo is on.
+	first := min(lo, len(st.keys)-1) / st.pageSize
+	last := max(first, (hi-1)/st.pageSize)
 	var out []Record
-	touched := false
-	for ; i < len(st.keys) && st.keys[i] == target; i++ {
-		touched = true
-		pg, err := cache.get(i / st.pageSize)
+	for page := first; page <= last; page++ {
+		st.stats.leafReads.Add(1)
+		pg, err := st.fetchPage(page)
 		if err != nil {
 			continue
 		}
-		out = append(out, pg.Records[i%st.pageSize])
-	}
-	if !touched && len(st.keys) > 0 {
-		// Miss: fetch the page that would hold the key.
-		slot := i
-		if slot == len(st.keys) {
-			slot--
-		}
-		cache.get(slot / st.pageSize)
+		base := page * st.pageSize
+		out = append(out, pg.Records[max(lo, base)-base:min(hi, base+st.pageSize)-base]...)
 	}
 	return out
 }
