@@ -3,10 +3,9 @@ package bits
 // Dilated-integer arithmetic (Raman & Wise, "Converting to and from Dilated
 // Integers"): a coordinate embedded in a Morton key occupies every d-th bit,
 // and arithmetic on it can be carried out directly in key space by letting
-// carries ripple through the gap bits and masking them away afterwards. This
-// is the kernel behind the Z curve's NeighborKeys fast path: the key of the
-// cell at x_i ± 1 is a handful of masked adds on the cell's own key — no
-// deinterleave/reinterleave round trip.
+// carries ripple through the gap bits and masking them away afterwards: the
+// Morton key of the cell at x_i ± 1 is a handful of masked adds on the
+// cell's own key — no deinterleave/reinterleave round trip.
 
 // DilatedMasks returns one mask per dimension of a d-dimensional, k-level
 // Morton key in this package's bit convention (Interleave): the mask for

@@ -213,17 +213,14 @@ func checkTableShadow(cx *caseCtx) (Status, string) {
 	return cmpULP("shadow Dmax", sh.DMax, ex.DMax, ulpsExact)
 }
 
-// checkKernelBatch drives the curve's kernel layer — IndexBatch, PointBatch,
-// NeighborKeys and NeighborKeysTorus — pointwise against the scalar
-// Index/Point at every cell. It runs for every curve: curves without native
-// kernels exercise the generic adapters, which carry the same bit-identity
-// contract.
+// checkKernelBatch drives the curve's kernel layer — IndexBatch and
+// PointBatch — pointwise against the scalar Index/Point at every cell. It
+// runs for every curve: curves without native kernels exercise the generic
+// adapter, which carries the same bit-identity contract.
 func checkKernelBatch(cx *caseCtx) (Status, string) {
 	u, c := cx.u, cx.c
 	d := u.D()
 	n := int(u.N())
-	side := u.Side()
-
 	coords := make([]uint32, n*d)
 	u.Cells(func(lin uint64, p grid.Point) bool {
 		copy(coords[int(lin)*d:], p)
@@ -246,85 +243,11 @@ func checkKernelBatch(cx *caseCtx) (Status, string) {
 			return Fail, fmt.Sprintf("PointBatch(%d) = %v, scalar Point = %v", keys[lin], back[lin*d:(lin+1)*d], q)
 		}
 	}
-
-	nk := curve.NewNeighborKeyer(c)
-	got := make([]uint64, 2*d)
-	want := make([]uint64, 2*d)
-	var failure string
-	u.Cells(func(lin uint64, p grid.Point) bool {
-		base := keys[lin]
-		for dim := 0; dim < d; dim++ {
-			want[2*dim] = curve.InvalidKey
-			want[2*dim+1] = curve.InvalidKey
-		}
-		nk.NeighborKeys(p, base, got)
-		u.NeighborsInto(p, q, func(dim int, nb grid.Point) {
-			slot := 2 * dim
-			if nb[dim] == p[dim]+1 {
-				slot++
-			}
-			want[slot] = c.Index(nb)
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				failure = fmt.Sprintf("NeighborKeys(%v)[%d] = %#x, scalar gives %#x", p, i, got[i], want[i])
-				return false
-			}
-		}
-		for dim := 0; dim < d; dim++ {
-			want[2*dim] = curve.InvalidKey
-			want[2*dim+1] = curve.InvalidKey
-		}
-		nk.NeighborKeysTorus(p, base, got)
-		u.NeighborsTorusInto(p, q, func(dim int, nb grid.Point) {
-			slot := 2 * dim
-			if nb[dim] == (p[dim]+1)&(side-1) {
-				slot++
-			}
-			want[slot] = c.Index(nb)
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				failure = fmt.Sprintf("NeighborKeysTorus(%v)[%d] = %#x, scalar gives %#x", p, i, got[i], want[i])
-				return false
-			}
-		}
-		return true
-	})
-	if failure != "" {
-		return Fail, failure
-	}
-
-	// The block forms must reproduce the per-cell forms over the whole
-	// universe in one call.
-	blk := make([]uint64, n*2*d)
-	nk.NeighborKeysBlock(coords, keys, blk)
-	for lin := 0; lin < n; lin++ {
-		p := grid.Point(coords[lin*d : (lin+1)*d])
-		nk.NeighborKeys(p, keys[lin], got)
-		for i := range got {
-			if blk[lin*2*d+i] != got[i] {
-				return Fail, fmt.Sprintf("NeighborKeysBlock(%v)[%d] = %#x, per-cell gives %#x",
-					p, i, blk[lin*2*d+i], got[i])
-			}
-		}
-	}
-	nk.NeighborKeysTorusBlock(coords, keys, blk)
-	for lin := 0; lin < n; lin++ {
-		p := grid.Point(coords[lin*d : (lin+1)*d])
-		nk.NeighborKeysTorus(p, keys[lin], got)
-		for i := range got {
-			if blk[lin*2*d+i] != got[i] {
-				return Fail, fmt.Sprintf("NeighborKeysTorusBlock(%v)[%d] = %#x, per-cell gives %#x",
-					p, i, blk[lin*2*d+i], got[i])
-			}
-		}
-	}
 	return Pass, ""
 }
 
 // checkKernelSweep requires the kernelized stretch engines (batched NN,
-// torus and Λ sweeps) to reproduce the legacy scalar sweeps bit-for-bit,
+// torus and Λ sweeps) to reproduce the scalar reference sweeps bit-for-bit,
 // forcing the scalar path via curve.ScalarOnly. Curves without a native
 // kernel skip: both sides would take the identical scalar path.
 func checkKernelSweep(cx *caseCtx) (Status, string) {

@@ -84,18 +84,31 @@ func DMax(c curve.Curve, workers int) float64 {
 // NNStretchResult computes Davg(π) and Dmax(π) in a single parallel sweep
 // over all cells. The arithmetic (Kahan-compensated per-chunk accumulation,
 // chunk-ordered reduction) is specified exactly; the conformance suite
-// checks it bit-for-bit against a sequential oracle. Curves with a kernel
-// fast path (curve.HasKernel) are swept with batched key evaluation — the
-// same per-cell integer aggregates in the same order, so the result is
-// bit-identical to the scalar sweep (the conformance kernel-sweep column
-// enforces this).
+// checks it bit-for-bit against a sequential oracle. Curves with a batch
+// encoder (curve.HasKernel) are swept through a sliding key window: each
+// cell is encoded once and its neighbours' keys are read back from the
+// window (see sweepWindow). The per-cell integer aggregates and their order
+// are those of the scalar sweep, so the result is bit-identical to it (the
+// conformance kernel-sweep column enforces this).
 func NNStretchResult(c curve.Curve, workers int) NN {
 	u := c.Universe()
 	n := u.N()
 	if n == 1 {
 		return NN{} // a single cell has no neighbors
 	}
-	partial := func(lo, hi uint64) nnAcc {
+	partial := nnScalarPartial(c)
+	if curve.HasKernel(c) {
+		partial = nnKernelPartial(c)
+	}
+	return reduceNN(parallel.MapRanges(n, workers, partial), n)
+}
+
+// nnScalarPartial is the reference chunk worker behind NNStretchResult: per
+// cell a FromLinear and 1+2d Index calls. Curves without a batch encoder,
+// and curve.ScalarOnly, take it.
+func nnScalarPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
+	u := c.Universe()
+	return func(lo, hi uint64) nnAcc {
 		p := u.NewPoint()
 		q := u.NewPoint()
 		side := u.Side()
@@ -133,10 +146,6 @@ func NNStretchResult(c curve.Curve, workers int) NN {
 		}
 		return a.acc()
 	}
-	if curve.HasKernel(c) {
-		partial = nnKernelPartial(c, u)
-	}
-	return reduceNN(parallel.MapRanges(n, workers, partial), n)
 }
 
 // kahan is a Kahan-compensated running sum.

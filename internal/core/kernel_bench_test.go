@@ -17,8 +17,10 @@ func BenchmarkNNSweep(b *testing.B) {
 		d, k int
 	}{
 		{"z", 2, 10}, {"z", 3, 7},
-		{"snake", 2, 10},
-		{"hilbert", 2, 10},
+		{"simple", 2, 10},
+		{"gray", 2, 10},
+		{"snake", 2, 10}, {"snake", 3, 7},
+		{"hilbert", 2, 10}, {"hilbert", 3, 7},
 	} {
 		u := grid.MustNew(tc.d, tc.k)
 		c, err := curve.ByName(tc.name, u, 1)

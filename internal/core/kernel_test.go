@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/curve"
@@ -91,4 +95,182 @@ func TestDeltaAtMatchesPublic(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// splitRanges cuts [0, n) into w contiguous chunks the way the parallel
+// reductions do, but for every n, so that small universes also get chunk
+// edges in the middle of a row or a slab.
+func splitRanges(n uint64, w int) [][2]uint64 {
+	var out [][2]uint64
+	per, rem := n/uint64(w), n%uint64(w)
+	var lo uint64
+	for i := 0; i < w; i++ {
+		hi := lo + per
+		if uint64(i) < rem {
+			hi++
+		}
+		out = append(out, [2]uint64{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+// TestSweepWindowMatchesScalarPartial holds the window partials to the
+// scalar reference partials bit for bit, chunk by chunk: for every
+// registry curve with a batch encoder, d ∈ {1, 2, 3, 4} including side 2
+// (the torus 2-cycle), and worker counts whose chunk edges fall mid-row and
+// mid-slab. One case has a chunk longer than the ring, so the ring wraps.
+func TestSweepWindowMatchesScalarPartial(t *testing.T) {
+	wrapped := false
+	for _, tc := range []struct{ d, k int }{
+		{1, 1}, {1, 4}, {1, 9},
+		{2, 1}, {2, 3}, {2, 6},
+		{3, 1}, {3, 2}, {3, 4},
+		{4, 1}, {4, 2},
+	} {
+		u := grid.MustNew(tc.d, tc.k)
+		for _, name := range curve.Names() {
+			c, err := curve.ByName(name, u, 11)
+			if err != nil {
+				t.Fatalf("d=%d k=%d %s: %v", tc.d, tc.k, name, err)
+			}
+			if !curve.HasKernel(c) {
+				continue
+			}
+			nk, ns := nnKernelPartial(c), nnScalarPartial(c)
+			tk, ts := nnTorusKernelPartial(c), nnTorusScalarPartial(c)
+			lk, ls := lambdasKernelPartial(c), lambdasScalarPartial(c)
+			for _, workers := range []int{1, 2, 3, 5, 7} {
+				for _, r := range splitRanges(u.N(), workers) {
+					lo, hi := r[0], r[1]
+					if lo == hi {
+						continue
+					}
+					w := openWindow(c, lo, hi, false)
+					wrapped = wrapped || hi-lo > uint64(len(w.ring))
+					w.close()
+					if got, want := nk(lo, hi), ns(lo, hi); got != want {
+						t.Errorf("d=%d k=%d %s [%d,%d): window NN %+v, scalar %+v", tc.d, tc.k, name, lo, hi, got, want)
+					}
+					if got, want := tk(lo, hi), ts(lo, hi); got != want {
+						t.Errorf("d=%d k=%d %s [%d,%d): window torus %+v, scalar %+v", tc.d, tc.k, name, lo, hi, got, want)
+					}
+					gl, wl := lk(lo, hi), ls(lo, hi)
+					for i := range wl {
+						if gl[i] != wl[i] {
+							t.Errorf("d=%d k=%d %s [%d,%d): window Λ_%d = %d, scalar %d", tc.d, tc.k, name, lo, hi, i+1, gl[i], wl[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !wrapped {
+		t.Fatal("no chunk was longer than its ring: the wrap-around is untested")
+	}
+}
+
+// skipUnderRace skips allocation bounds under the race detector, where
+// sync.Pool drops recycled buffers at random.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation bounds do not hold under -race: sync.Pool drops buffers at random")
+			}
+		}
+	}
+}
+
+// sweepAllocSlack is what one warm parallel sweep may allocate: the
+// MapRanges plumbing (ranges, results, closures), a few hundred bytes. One
+// window's ring at d = 3, k = 5 alone is 32 KiB.
+const sweepAllocSlack = 2 << 10
+
+// TestSweepWindowAllocationIsBounded: the window partials take their ring,
+// torus slabs and block staging from a pool, so once a sweep has warmed it
+// a repeated sweep allocates only the fixed per-call cost of MapRanges.
+// Which pooled window a worker gets is up to the scheduler — a window an
+// earlier sweep left without torus slabs grows them on first use — so the
+// pool is emptied first and the bound must hold for the best of three
+// batches; without recycling, every batch pays a ring per worker per sweep.
+func TestSweepWindowAllocationIsBounded(t *testing.T) {
+	skipUnderRace(t)
+	u := grid.MustNew(3, 5)
+	c, err := curve.ByName("hilbert", u, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, runs = 2, 8
+	for _, sweep := range []struct {
+		name string
+		run  func() NN
+	}{
+		{"NNStretchResult", func() NN { return NNStretchResult(c, workers) }},
+		{"NNStretchTorusResult", func() NN { return NNStretchTorusResult(c, workers) }},
+	} {
+		runtime.GC() // two collections empty a sync.Pool
+		runtime.GC()
+		want := sweep.run() // warm: the first call fills the pool
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if got := sweep.run(); got != want {
+					t.Fatalf("%s: repeated sweep %+v, first %+v", sweep.name, got, want)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		t.Logf("%s: %d bytes per warm sweep", sweep.name, best)
+		if best > sweepAllocSlack {
+			t.Fatalf("%s allocated %d bytes per warm sweep, bound %d: the window is not recycled", sweep.name, best, sweepAllocSlack)
+		}
+	}
+}
+
+// TestSweepWindowConcurrentSweeps runs parallel sweeps of different sizes
+// and kinds at once, so the pooled windows pass between goroutines and
+// between universes; each result must still equal the scalar sweep. Run
+// it under -race.
+func TestSweepWindowConcurrentSweeps(t *testing.T) {
+	type job struct {
+		name string
+		run  func(c curve.Curve) NN
+		c    curve.Curve
+		want NN
+	}
+	var jobs []job
+	for _, g := range []struct{ d, k int }{{2, 7}, {3, 4}, {1, 13}} {
+		u := grid.MustNew(g.d, g.k)
+		for _, name := range []string{"hilbert", "snake"} {
+			c, err := curve.ByName(name, u, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open := func(c curve.Curve) NN { return NNStretchResult(c, 3) }
+			torus := func(c curve.Curve) NN { return NNStretchTorusResult(c, 3) }
+			ref := curve.ScalarOnly(c)
+			jobs = append(jobs,
+				job{fmt.Sprintf("%s d=%d k=%d open", name, g.d, g.k), open, c, open(ref)},
+				job{fmt.Sprintf("%s d=%d k=%d torus", name, g.d, g.k), torus, c, torus(ref)})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				if got := j.run(j.c); got != j.want {
+					t.Errorf("%s: window sweep %+v, scalar %+v", j.name, got, j.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

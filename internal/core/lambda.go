@@ -34,8 +34,26 @@ func Lambda(c curve.Curve, dim int, workers int) uint64 {
 func Lambdas(c curve.Curve, workers int) []uint64 {
 	u := c.Universe()
 	d := u.D()
+	partial := lambdasScalarPartial(c)
+	if curve.HasKernel(c) {
+		partial = lambdasKernelPartial(c)
+	}
+	total := make([]uint64, d)
+	for _, part := range parallel.MapRanges(u.N(), workers, partial) {
+		for i, v := range part {
+			total[i] += v
+		}
+	}
+	return total
+}
+
+// lambdasScalarPartial is the reference chunk worker behind Lambdas, one
+// Index call per cell and +e_i neighbor.
+func lambdasScalarPartial(c curve.Curve) func(lo, hi uint64) []uint64 {
+	u := c.Universe()
+	d := u.D()
 	side := u.Side()
-	partial := func(lo, hi uint64) []uint64 {
+	return func(lo, hi uint64) []uint64 {
 		p := u.NewPoint()
 		q := u.NewPoint()
 		sums := make([]uint64, d)
@@ -53,16 +71,6 @@ func Lambdas(c curve.Curve, workers int) []uint64 {
 		}
 		return sums
 	}
-	if curve.HasKernel(c) {
-		partial = lambdasKernelPartial(c, u)
-	}
-	total := make([]uint64, d)
-	for _, part := range parallel.MapRanges(u.N(), workers, partial) {
-		for i, v := range part {
-			total[i] += v
-		}
-	}
-	return total
 }
 
 // SumNN returns Σ_{(α,β) ∈ NN_d} Δπ(α, β) — the total curve distance over

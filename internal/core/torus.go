@@ -33,7 +33,18 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 	if n == 1 {
 		return NN{}
 	}
-	partial := func(lo, hi uint64) nnAcc {
+	partial := nnTorusScalarPartial(c)
+	if curve.HasKernel(c) {
+		partial = nnTorusKernelPartial(c)
+	}
+	return reduceNN(parallel.MapRanges(n, workers, partial), n)
+}
+
+// nnTorusScalarPartial is the reference chunk worker behind
+// NNStretchTorusResult, one Index call per cell and neighbor.
+func nnTorusScalarPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
+	u := c.Universe()
+	return func(lo, hi uint64) nnAcc {
 		p := u.NewPoint()
 		q := u.NewPoint()
 		var a nnSum
@@ -60,8 +71,4 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 		}
 		return a.acc()
 	}
-	if curve.HasKernel(c) {
-		partial = nnTorusKernelPartial(c, u)
-	}
-	return reduceNN(parallel.MapRanges(n, workers, partial), n)
 }

@@ -4,19 +4,14 @@ import (
 	"repro/internal/grid"
 )
 
-// This file defines the kernel layer of the curve package: optional batch
-// and neighbor-key fast paths that compute exactly the same bits as the
-// scalar Index/Point methods, but amortize interface dispatch, bounds checks
-// and per-point bit fiddling. Every exact metric in the core package is
-// O(n·d) curve evaluations, so this layer sets the throughput ceiling of the
+// This file defines the kernel layer of the curve package: an optional
+// batch fast path that computes exactly the same bits as the scalar
+// Index/Point methods, but amortizes interface dispatch, bounds checks and
+// per-point bit fiddling. Every exact metric in the core package encodes
+// each of its n cells once, so this layer sets the throughput ceiling of the
 // finite-n sweeps. The conformance engine carries a dedicated column
 // (kernel-batch / kernel-sweep) proving the fast paths bit-match the scalar
 // ones for every registered curve.
-
-// InvalidKey marks a missing neighbor in NeighborKeys output. Curve keys
-// occupy at most MaxKeyBits = 62 bits, so the all-ones value can never be a
-// real index.
-const InvalidKey = ^uint64(0)
 
 // Batcher is the batch evaluation interface: IndexBatch and PointBatch are
 // the vectorized forms of Curve.Index and Curve.Point over flat row-major
@@ -34,48 +29,12 @@ type Batcher interface {
 	PointBatch(indices []uint64, dst []uint32)
 }
 
-// NeighborKeyer computes the curve indices of a cell's 2d axis neighbors in
-// one call — the hot operation of every nearest-neighbor stretch sweep. For
-// the Z curve the keys come straight from dilated-integer arithmetic on the
-// cell's own key; for batch-capable curves they come from one batched encode
-// of the neighbor block; the scalar fallback simply loops Curve.Index.
-//
-// Instances returned by NewNeighborKeyer may carry scratch buffers and are
-// NOT safe for concurrent use: create one per goroutine. Implementations
-// must not retain or modify p.
-type NeighborKeyer interface {
-	// NeighborKeys fills keys[2·dim] with the index of p − e_dim and
-	// keys[2·dim+1] with the index of p + e_dim, writing InvalidKey where
-	// the neighbor lies outside the open grid. base must equal Index(p);
-	// keys must have length 2d.
-	NeighborKeys(p grid.Point, base uint64, keys []uint64)
-	// NeighborKeysTorus is the periodic-boundary variant: coordinates wrap
-	// modulo the side length. Following the torus engine's simple-graph
-	// convention, on a 2-cycle (side = 2) only the +1 neighbor is emitted
-	// (keys[2·dim] is InvalidKey), and on a 1-cycle both slots are
-	// InvalidKey.
-	NeighborKeysTorus(p grid.Point, base uint64, keys []uint64)
-	// NeighborKeysBlock is the block form of NeighborKeys, the shape the
-	// core sweeps consume: cell j has point coords[j·d : (j+1)·d], key
-	// bases[j], and output slots keys[j·2d : (j+1)·2d]. One call covers
-	// len(bases) cells, so the per-cell dispatch cost vanishes and
-	// implementations can hoist their masks and tables out of the loop.
-	// Implementations that derive neighbor keys from the base key alone may
-	// ignore coords.
-	NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64)
-	// NeighborKeysTorusBlock is the block form of NeighborKeysTorus.
-	NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64)
-}
-
-// HasKernel reports whether c natively implements a kernel fast path
-// (Batcher or NeighborKeyer). The core engines consult it to decide between
-// the kernelized sweep and the legacy scalar loop; NewBatcher and
-// NewNeighborKeyer work for every curve regardless, via scalar adapters.
+// HasKernel reports whether c natively implements Batcher. The core
+// engines consult it to decide between the kernelized sweep and the scalar
+// reference loop; NewBatcher works for every curve regardless, via a scalar
+// adapter.
 func HasKernel(c Curve) bool {
-	if _, ok := c.(Batcher); ok {
-		return true
-	}
-	_, ok := c.(NeighborKeyer)
+	_, ok := c.(Batcher)
 	return ok
 }
 
@@ -87,28 +46,6 @@ func NewBatcher(c Curve) Batcher {
 		return b
 	}
 	return &scalarBatcher{c: c, d: c.Universe().D()}
-}
-
-// NewNeighborKeyer returns a neighbor-key kernel for c: the curve's own
-// implementation when it is a native NeighborKeyer, a batched-encode adapter
-// when it is a Batcher, and a scalar adapter otherwise. The returned value
-// is not safe for concurrent use; create one per goroutine.
-func NewNeighborKeyer(c Curve) NeighborKeyer {
-	if nk, ok := c.(NeighborKeyer); ok {
-		return nk
-	}
-	u := c.Universe()
-	d := u.D()
-	if b, ok := c.(Batcher); ok {
-		return &batchKeyer{
-			b:      b,
-			d:      d,
-			side:   u.Side(),
-			coords: make([]uint32, 2*d*d),
-			ok:     make([]bool, 2*d),
-		}
-	}
-	return &scalarKeyer{c: c, d: d, side: u.Side(), q: u.NewPoint()}
 }
 
 // scalarBatcher adapts any Curve to the Batcher interface by looping the
@@ -132,166 +69,10 @@ func (s *scalarBatcher) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// batchKeyer derives neighbor keys from one batched encode of the 2d
-// neighbor points per cell.
-type batchKeyer struct {
-	b      Batcher
-	d      int
-	side   uint32
-	coords []uint32 // 2d rows of d coords
-	ok     []bool   // per-slot validity, parallel to keys
-}
-
-// grow resizes the scratch buffers to hold `slots` neighbor rows and returns
-// the coordinate and validity views.
-func (bk *batchKeyer) grow(slots int) ([]uint32, []bool) {
-	if cap(bk.coords) < slots*bk.d {
-		bk.coords = make([]uint32, slots*bk.d)
-	}
-	if cap(bk.ok) < slots {
-		bk.ok = make([]bool, slots)
-	}
-	return bk.coords[:slots*bk.d], bk.ok[:slots]
-}
-
-// stageNeighbors writes the 2d neighbor coordinate rows of p into nc starting
-// at row slot0, recording per-slot validity. Torus selects wrapping semantics.
-func (bk *batchKeyer) stageNeighbors(p grid.Point, nc []uint32, okv []bool, slot0 int, torus bool) {
-	d, side := bk.d, bk.side
-	for dim := 0; dim < d; dim++ {
-		s := slot0 + 2*dim
-		lo := nc[s*d : (s+1)*d]
-		hi := nc[(s+1)*d : (s+2)*d]
-		copy(lo, p)
-		copy(hi, p)
-		if torus {
-			if okv[s] = side > 2; okv[s] {
-				lo[dim] = (p[dim] + side - 1) & (side - 1)
-			}
-			if okv[s+1] = side > 1; okv[s+1] {
-				hi[dim] = (p[dim] + 1) & (side - 1)
-			}
-		} else {
-			if okv[s] = p[dim] > 0; okv[s] {
-				lo[dim]--
-			}
-			if okv[s+1] = p[dim]+1 < side; okv[s+1] {
-				hi[dim]++
-			}
-		}
-	}
-}
-
-func (bk *batchKeyer) keysOne(p grid.Point, keys []uint64, torus bool) {
-	nc, okv := bk.grow(2 * bk.d)
-	bk.stageNeighbors(p, nc, okv, 0, torus)
-	bk.b.IndexBatch(nc, keys[:2*bk.d])
-	for i, ok := range okv {
-		if !ok {
-			keys[i] = InvalidKey
-		}
-	}
-}
-
-// keysBlock stages every cell's neighbor rows and resolves them with a single
-// batched encode — for curves with an expensive scalar Index (Hilbert) the
-// one big IndexBatch is the entire point of the kernel layer.
-func (bk *batchKeyer) keysBlock(coords []uint32, bases []uint64, keys []uint64, torus bool) {
-	d := bk.d
-	cnt := len(bases)
-	nc, okv := bk.grow(2 * d * cnt)
-	for j := 0; j < cnt; j++ {
-		bk.stageNeighbors(grid.Point(coords[j*d:(j+1)*d]), nc, okv, j*2*d, torus)
-	}
-	bk.b.IndexBatch(nc, keys[:2*d*cnt])
-	for i, ok := range okv {
-		if !ok {
-			keys[i] = InvalidKey
-		}
-	}
-}
-
-func (bk *batchKeyer) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	bk.keysOne(p, keys, false)
-}
-
-func (bk *batchKeyer) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	bk.keysOne(p, keys, true)
-}
-
-func (bk *batchKeyer) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {
-	bk.keysBlock(coords, bases, keys, false)
-}
-
-func (bk *batchKeyer) NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64) {
-	bk.keysBlock(coords, bases, keys, true)
-}
-
-// scalarKeyer loops Curve.Index over the existing neighbors.
-type scalarKeyer struct {
-	c    Curve
-	d    int
-	side uint32
-	q    grid.Point
-}
-
-func (sk *scalarKeyer) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	copy(sk.q, p)
-	for dim := 0; dim < sk.d; dim++ {
-		if p[dim] > 0 {
-			sk.q[dim] = p[dim] - 1
-			keys[2*dim] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim] = InvalidKey
-		}
-		if p[dim]+1 < sk.side {
-			sk.q[dim] = p[dim] + 1
-			keys[2*dim+1] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim+1] = InvalidKey
-		}
-		sk.q[dim] = p[dim]
-	}
-}
-
-func (sk *scalarKeyer) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	side := sk.side
-	copy(sk.q, p)
-	for dim := 0; dim < sk.d; dim++ {
-		if side > 2 {
-			sk.q[dim] = (p[dim] + side - 1) & (side - 1)
-			keys[2*dim] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim] = InvalidKey
-		}
-		if side > 1 {
-			sk.q[dim] = (p[dim] + 1) & (side - 1)
-			keys[2*dim+1] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim+1] = InvalidKey
-		}
-		sk.q[dim] = p[dim]
-	}
-}
-
-func (sk *scalarKeyer) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {
-	d := sk.d
-	for j := range bases {
-		sk.NeighborKeys(grid.Point(coords[j*d:(j+1)*d]), bases[j], keys[j*2*d:(j+1)*2*d])
-	}
-}
-
-func (sk *scalarKeyer) NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64) {
-	d := sk.d
-	for j := range bases {
-		sk.NeighborKeysTorus(grid.Point(coords[j*d:(j+1)*d]), bases[j], keys[j*2*d:(j+1)*2*d])
-	}
-}
-
 // ScalarOnly wraps c so that only the plain Curve methods remain visible:
-// HasKernel reports false and every engine takes the legacy scalar path.
+// HasKernel reports false and every engine takes the scalar reference loop.
 // The benchmark harness and the conformance kernel-sweep check use it as
-// the pre-kernel reference implementation.
+// the reference the kernelized sweeps must match bit for bit.
 func ScalarOnly(c Curve) Curve { return scalarOnly{c} }
 
 type scalarOnly struct{ c Curve }

@@ -22,42 +22,8 @@ var batchBigCases = []struct{ d, k int }{
 	{1, 31}, {2, 25}, {3, 18},
 }
 
-// wantNeighborKeys computes the expected NeighborKeys output the slow way,
-// through the scalar Index on explicitly stepped points.
-func wantNeighborKeys(c Curve, p grid.Point, torus bool) []uint64 {
-	u := c.Universe()
-	d, side := u.D(), u.Side()
-	keys := make([]uint64, 2*d)
-	q := p.Clone()
-	for dim := 0; dim < d; dim++ {
-		keys[2*dim] = InvalidKey
-		keys[2*dim+1] = InvalidKey
-		if torus {
-			if side > 2 {
-				q[dim] = (p[dim] + side - 1) & (side - 1)
-				keys[2*dim] = c.Index(q)
-			}
-			if side > 1 {
-				q[dim] = (p[dim] + 1) & (side - 1)
-				keys[2*dim+1] = c.Index(q)
-			}
-		} else {
-			if p[dim] > 0 {
-				q[dim] = p[dim] - 1
-				keys[2*dim] = c.Index(q)
-			}
-			if p[dim]+1 < side {
-				q[dim] = p[dim] + 1
-				keys[2*dim+1] = c.Index(q)
-			}
-		}
-		q[dim] = p[dim]
-	}
-	return keys
-}
-
-// checkKernelAt verifies IndexBatch, PointBatch, NeighborKeys and
-// NeighborKeysTorus against the scalar methods on the given block of points.
+// checkKernelAt verifies IndexBatch and PointBatch against the scalar
+// methods on the given block of points.
 func checkKernelAt(t *testing.T, c Curve, coords []uint32) {
 	t.Helper()
 	u := c.Universe()
@@ -83,56 +49,11 @@ func checkKernelAt(t *testing.T, c Curve, coords []uint32) {
 			t.Fatalf("%s: PointBatch(%d) = %v, scalar Point = %v", c.Name(), keys[i], back[i*d:(i+1)*d], q)
 		}
 	}
-
-	nk := NewNeighborKeyer(c)
-	got := make([]uint64, 2*d)
-	for i := 0; i < n; i++ {
-		p := grid.Point(coords[i*d : (i+1)*d])
-		nk.NeighborKeys(p, keys[i], got)
-		want := wantNeighborKeys(c, p, false)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s: NeighborKeys(%v)[%d] = %#x, want %#x", c.Name(), p, j, got[j], want[j])
-			}
-		}
-		nk.NeighborKeysTorus(p, keys[i], got)
-		want = wantNeighborKeys(c, p, true)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s: NeighborKeysTorus(%v)[%d] = %#x, want %#x", c.Name(), p, j, got[j], want[j])
-			}
-		}
-	}
-
-	// The block forms must agree with the per-cell forms on the whole block.
-	blk := make([]uint64, n*2*d)
-	nk.NeighborKeysBlock(coords, keys, blk)
-	for i := 0; i < n; i++ {
-		p := grid.Point(coords[i*d : (i+1)*d])
-		want := wantNeighborKeys(c, p, false)
-		for j := range want {
-			if blk[i*2*d+j] != want[j] {
-				t.Fatalf("%s: NeighborKeysBlock cell %d slot %d = %#x, want %#x",
-					c.Name(), i, j, blk[i*2*d+j], want[j])
-			}
-		}
-	}
-	nk.NeighborKeysTorusBlock(coords, keys, blk)
-	for i := 0; i < n; i++ {
-		p := grid.Point(coords[i*d : (i+1)*d])
-		want := wantNeighborKeys(c, p, true)
-		for j := range want {
-			if blk[i*2*d+j] != want[j] {
-				t.Fatalf("%s: NeighborKeysTorusBlock cell %d slot %d = %#x, want %#x",
-					c.Name(), i, j, blk[i*2*d+j], want[j])
-			}
-		}
-	}
 }
 
 // TestKernelMatchesScalar is the differential test of the satellite list:
-// for every registered curve over d ∈ {1,2,3} and several k, the batch and
-// neighbor-key kernels must bit-match the scalar Index/Point.
+// for every registered curve over d ∈ {1,2,3} and several k, the batch
+// kernels must bit-match the scalar Index/Point.
 func TestKernelMatchesScalar(t *testing.T) {
 	for _, tc := range batchCases {
 		u := grid.MustNew(tc.d, tc.k)
@@ -173,39 +94,6 @@ func TestKernelMatchesScalarSampled(t *testing.T) {
 			checkKernelAt(t, c, coords)
 		}
 	}
-}
-
-// TestBatchKeyerAdapter drives the batched-encode NeighborKeyer adapter,
-// which is otherwise shadowed by the curves' native keyers.
-func TestBatchKeyerAdapter(t *testing.T) {
-	u := grid.MustNew(3, 3)
-	c := NewHilbert(u) // Batcher but not NeighborKeyer
-	if _, ok := Curve(c).(NeighborKeyer); ok {
-		t.Fatal("Hilbert unexpectedly implements NeighborKeyer; test needs updating")
-	}
-	nk := NewNeighborKeyer(c)
-	if _, ok := nk.(*batchKeyer); !ok {
-		t.Fatalf("NewNeighborKeyer(hilbert) = %T, want *batchKeyer", nk)
-	}
-	got := make([]uint64, 2*u.D())
-	u.Cells(func(_ uint64, p grid.Point) bool {
-		base := c.Index(p)
-		nk.NeighborKeys(p, base, got)
-		want := wantNeighborKeys(c, p, false)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("NeighborKeys(%v)[%d] = %#x, want %#x", p, j, got[j], want[j])
-			}
-		}
-		nk.NeighborKeysTorus(p, base, got)
-		want = wantNeighborKeys(c, p, true)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("NeighborKeysTorus(%v)[%d] = %#x, want %#x", p, j, got[j], want[j])
-			}
-		}
-		return true
-	})
 }
 
 // TestHilbertTableBuilds pins that the state-table derivation from the

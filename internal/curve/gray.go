@@ -16,13 +16,12 @@ import (
 // steps are axis-parallel but may jump a power-of-two distance; the curve is
 // not unit-step, but is a bijection and hence an SFC in the paper's sense.
 type Gray struct {
-	u     *grid.Universe
-	masks []uint64 // dilated mask per dimension of the underlying Z key
+	u *grid.Universe
 }
 
 // NewGray returns the Gray-code curve over u.
 func NewGray(u *grid.Universe) *Gray {
-	return &Gray{u: u, masks: bits.DilatedMasks(u.D(), u.K())}
+	return &Gray{u: u}
 }
 
 // Universe implements Curve.
@@ -88,65 +87,7 @@ func (g *Gray) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// NeighborKeys implements NeighborKeyer: lift the curve position to the
-// underlying Z key (one Gray encode), step x_i ± 1 by dilated arithmetic
-// there, and take the Gray rank of each neighbor key. Stateless, safe to
-// share across goroutines.
-func (g *Gray) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	zbase := bits.GrayEncode(base)
-	for i, m := range g.masks {
-		lsb := m & -m
-		cb := zbase & m
-		if cb != 0 {
-			keys[2*i] = bits.GrayDecode((zbase &^ m) | bits.DilatedSub(zbase, lsb, m))
-		} else {
-			keys[2*i] = InvalidKey
-		}
-		if cb != m {
-			keys[2*i+1] = bits.GrayDecode((zbase &^ m) | bits.DilatedAdd(zbase, lsb, m))
-		} else {
-			keys[2*i+1] = InvalidKey
-		}
-	}
-}
-
-// NeighborKeysTorus implements NeighborKeyer.
-func (g *Gray) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	zbase := bits.GrayEncode(base)
-	side := g.u.Side()
-	for i, m := range g.masks {
-		lsb := m & -m
-		if side > 2 {
-			keys[2*i] = bits.GrayDecode((zbase &^ m) | bits.DilatedSub(zbase, lsb, m))
-		} else {
-			keys[2*i] = InvalidKey
-		}
-		if side > 1 {
-			keys[2*i+1] = bits.GrayDecode((zbase &^ m) | bits.DilatedAdd(zbase, lsb, m))
-		} else {
-			keys[2*i+1] = InvalidKey
-		}
-	}
-}
-
-// NeighborKeysBlock implements NeighborKeyer.
-func (g *Gray) NeighborKeysBlock(_ []uint32, bases []uint64, keys []uint64) {
-	nd := 2 * len(g.masks)
-	for j, base := range bases {
-		g.NeighborKeys(nil, base, keys[j*nd:(j+1)*nd])
-	}
-}
-
-// NeighborKeysTorusBlock implements NeighborKeyer.
-func (g *Gray) NeighborKeysTorusBlock(_ []uint32, bases []uint64, keys []uint64) {
-	nd := 2 * len(g.masks)
-	for j, base := range bases {
-		g.NeighborKeysTorus(nil, base, keys[j*nd:(j+1)*nd])
-	}
-}
-
 var (
-	_ Curve         = (*Gray)(nil)
-	_ Batcher       = (*Gray)(nil)
-	_ NeighborKeyer = (*Gray)(nil)
+	_ Curve   = (*Gray)(nil)
+	_ Batcher = (*Gray)(nil)
 )

@@ -12,27 +12,12 @@ import (
 // Theorem 3: Davg(S) ~ (1/d)·n^(1−1/d), matching the Z curve. Proposition 2:
 // Dmax(S) = n^(1−1/d) exactly.
 type Simple struct {
-	u     *grid.Universe
-	masks []uint64 // contiguous per-dimension masks of the linear index
+	u *grid.Universe
 }
 
 // NewSimple returns the simple curve over u.
 func NewSimple(u *grid.Universe) *Simple {
-	return &Simple{u: u, masks: linearMasks(u)}
-}
-
-// linearMasks returns one mask per dimension of the row-major linear index:
-// coordinate i occupies the contiguous bits [k·i, k·(i+1)). A contiguous
-// mask is a degenerate dilated mask, so the same dilated add/subtract that
-// drives the Z curve's neighbor keys applies verbatim.
-func linearMasks(u *grid.Universe) []uint64 {
-	d, k := u.D(), u.K()
-	masks := make([]uint64, d)
-	m := uint64(u.Side()) - 1
-	for i := 0; i < d; i++ {
-		masks[i] = m << uint(k*i)
-	}
-	return masks
+	return &Simple{u: u}
 }
 
 // Universe implements Curve.
@@ -75,32 +60,9 @@ func (s *Simple) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// NeighborKeys implements NeighborKeyer via the shared dilated-arithmetic
-// helper over the contiguous per-dimension masks. Stateless, so safe to
-// share across goroutines.
-func (s *Simple) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	neighborKeysDilated(base, s.masks, keys)
-}
-
-// NeighborKeysTorus implements NeighborKeyer.
-func (s *Simple) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	neighborKeysDilatedTorus(base, s.masks, keys, s.u.Side())
-}
-
-// NeighborKeysBlock implements NeighborKeyer.
-func (s *Simple) NeighborKeysBlock(_ []uint32, bases []uint64, keys []uint64) {
-	neighborBlockDilated(bases, s.masks, keys)
-}
-
-// NeighborKeysTorusBlock implements NeighborKeyer.
-func (s *Simple) NeighborKeysTorusBlock(_ []uint32, bases []uint64, keys []uint64) {
-	neighborBlockDilatedTorus(bases, s.masks, keys, s.u.Side())
-}
-
 var (
-	_ Curve         = (*Simple)(nil)
-	_ Batcher       = (*Simple)(nil)
-	_ NeighborKeyer = (*Simple)(nil)
+	_ Curve   = (*Simple)(nil)
+	_ Batcher = (*Simple)(nil)
 )
 
 // Snake is the boustrophedon ("lawnmower") curve: row-major order with the
@@ -212,92 +174,7 @@ func (s *Snake) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// neighborKeys derives the key of p ± e_dim directly from p's own key. A
-// ±1 step (or a torus wrap, side−1 being odd) in dimension dim changes the
-// coordinate sum above every lower dimension by an odd amount, so it flips
-// the reflection parity of all lower digits at once: the new key keeps the
-// digits above dim, replaces dim's digit with the reflected-or-not new
-// coordinate, and complements every bit below — O(d) integer ops per cell
-// with no re-encode of the unchanged dimensions.
-func (s *Snake) neighborKeys(p grid.Point, base uint64, keys []uint64, torus bool) {
-	d, k := s.u.D(), uint(s.u.K())
-	side := s.u.Side()
-	max := side - 1
-	var par uint32 // parity of the coordinate sum above the current dimension
-	for dim := d - 1; dim >= 0; dim-- {
-		sh := uint(dim) * k
-		lowMask := uint64(1)<<sh - 1
-		rest := base &^ (uint64(max)<<sh | lowMask)
-		lowComp := ^base & lowMask
-		c := p[dim]
-		var loOK, hiOK bool
-		var loC, hiC uint32
-		if torus {
-			if loOK = side > 2; loOK {
-				loC = (c + max) & max
-			}
-			if hiOK = side > 1; hiOK {
-				hiC = (c + 1) & max
-			}
-		} else {
-			if loOK = c > 0; loOK {
-				loC = c - 1
-			}
-			if hiOK = c < max; hiOK {
-				hiC = c + 1
-			}
-		}
-		if loOK {
-			dg := loC
-			if par == 1 {
-				dg = max - loC
-			}
-			keys[2*dim] = rest | uint64(dg)<<sh | lowComp
-		} else {
-			keys[2*dim] = InvalidKey
-		}
-		if hiOK {
-			dg := hiC
-			if par == 1 {
-				dg = max - hiC
-			}
-			keys[2*dim+1] = rest | uint64(dg)<<sh | lowComp
-		} else {
-			keys[2*dim+1] = InvalidKey
-		}
-		par ^= c & 1
-	}
-}
-
-// NeighborKeys implements NeighborKeyer. Stateless, so safe to share across
-// goroutines.
-func (s *Snake) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	s.neighborKeys(p, base, keys, false)
-}
-
-// NeighborKeysTorus implements NeighborKeyer.
-func (s *Snake) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	s.neighborKeys(p, base, keys, true)
-}
-
-// NeighborKeysBlock implements NeighborKeyer.
-func (s *Snake) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {
-	d := s.u.D()
-	for j, base := range bases {
-		s.neighborKeys(grid.Point(coords[j*d:(j+1)*d]), base, keys[j*2*d:(j+1)*2*d], false)
-	}
-}
-
-// NeighborKeysTorusBlock implements NeighborKeyer.
-func (s *Snake) NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64) {
-	d := s.u.D()
-	for j, base := range bases {
-		s.neighborKeys(grid.Point(coords[j*d:(j+1)*d]), base, keys[j*2*d:(j+1)*2*d], true)
-	}
-}
-
 var (
-	_ Curve         = (*Snake)(nil)
-	_ Batcher       = (*Snake)(nil)
-	_ NeighborKeyer = (*Snake)(nil)
+	_ Curve   = (*Snake)(nil)
+	_ Batcher = (*Snake)(nil)
 )

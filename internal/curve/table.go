@@ -12,11 +12,10 @@ import (
 // and is used for the hand-constructed curves of Figure 1 and for random
 // bijections in property tests.
 type Table struct {
-	u     *grid.Universe
-	name  string
-	perm  []uint64
-	inv   []uint64
-	masks []uint64 // contiguous per-dimension masks of the linear index
+	u    *grid.Universe
+	name string
+	perm []uint64
+	inv  []uint64
 }
 
 // NewTable builds a table curve. perm[linearIndex] = curve index; it must be
@@ -38,7 +37,7 @@ func NewTable(u *grid.Universe, name string, perm []uint64) (*Table, error) {
 		seen[idx] = true
 		inv[idx] = uint64(lin)
 	}
-	return &Table{u: u, name: name, perm: perm, inv: inv, masks: linearMasks(u)}, nil
+	return &Table{u: u, name: name, perm: perm, inv: inv}, nil
 }
 
 // MustTable is NewTable for known-good tables. It panics iff NewTable would
@@ -140,51 +139,7 @@ func (t *Table) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// NeighborKeys implements NeighborKeyer: recover the linear index through
-// the inverse table, step it with dilated arithmetic on the contiguous
-// per-dimension masks, and map each neighbor back through the permutation.
-// Stateless, safe to share across goroutines.
-func (t *Table) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	lin := t.inv[base]
-	d := t.u.D()
-	neighborKeysDilated(lin, t.masks, keys)
-	for i := 0; i < 2*d; i++ {
-		if keys[i] != InvalidKey {
-			keys[i] = t.perm[keys[i]]
-		}
-	}
-}
-
-// NeighborKeysTorus implements NeighborKeyer.
-func (t *Table) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	lin := t.inv[base]
-	d := t.u.D()
-	neighborKeysDilatedTorus(lin, t.masks, keys, t.u.Side())
-	for i := 0; i < 2*d; i++ {
-		if keys[i] != InvalidKey {
-			keys[i] = t.perm[keys[i]]
-		}
-	}
-}
-
-// NeighborKeysBlock implements NeighborKeyer.
-func (t *Table) NeighborKeysBlock(_ []uint32, bases []uint64, keys []uint64) {
-	nd := 2 * t.u.D()
-	for j, base := range bases {
-		t.NeighborKeys(nil, base, keys[j*nd:(j+1)*nd])
-	}
-}
-
-// NeighborKeysTorusBlock implements NeighborKeyer.
-func (t *Table) NeighborKeysTorusBlock(_ []uint32, bases []uint64, keys []uint64) {
-	nd := 2 * t.u.D()
-	for j, base := range bases {
-		t.NeighborKeysTorus(nil, base, keys[j*nd:(j+1)*nd])
-	}
-}
-
 var (
-	_ Curve         = (*Table)(nil)
-	_ Batcher       = (*Table)(nil)
-	_ NeighborKeyer = (*Table)(nil)
+	_ Curve   = (*Table)(nil)
+	_ Batcher = (*Table)(nil)
 )

@@ -14,13 +14,12 @@ import (
 // Theorem 2 of the paper: Davg(Z) ~ (1/d)·n^(1−1/d), within a factor 1.5 of
 // the Theorem 1 lower bound irrespective of d.
 type Z struct {
-	u     *grid.Universe
-	masks []uint64 // dilated mask per dimension
+	u *grid.Universe
 }
 
 // NewZ returns the Z curve over u.
 func NewZ(u *grid.Universe) *Z {
-	return &Z{u: u, masks: bits.DilatedMasks(u.D(), u.K())}
+	return &Z{u: u}
 }
 
 // Universe implements Curve.
@@ -116,133 +115,7 @@ func (z *Z) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// NeighborKeys implements NeighborKeyer by pure dilated-integer arithmetic:
-// the key of p ± e_dim is a masked add/subtract on p's own Morton key, no
-// decode/re-encode round trip. The receiver carries no mutable state, so the
-// Z curve's keyer is safe to share across goroutines.
-func (z *Z) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	neighborKeysDilated(base, z.masks, keys)
-}
-
-// NeighborKeysTorus implements NeighborKeyer; the coordinate wraparound
-// side−1 ↔ 0 is the natural modular behavior of the dilated add/subtract.
-func (z *Z) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	neighborKeysDilatedTorus(base, z.masks, keys, z.u.Side())
-}
-
-// NeighborKeysBlock implements NeighborKeyer; the coords are not needed —
-// every neighbor key is derived from the cell's own key.
-func (z *Z) NeighborKeysBlock(_ []uint32, bases []uint64, keys []uint64) {
-	neighborBlockDilated(bases, z.masks, keys)
-}
-
-// NeighborKeysTorusBlock implements NeighborKeyer.
-func (z *Z) NeighborKeysTorusBlock(_ []uint32, bases []uint64, keys []uint64) {
-	neighborBlockDilatedTorus(bases, z.masks, keys, z.u.Side())
-}
-
-// neighborKeysDilated fills keys with the 2·len(masks) open-grid neighbor
-// keys of the cell whose key is base, one dilated mask per dimension. It
-// works for any per-dimension bit layout — the Z curve's scattered masks and
-// the simple/table curves' contiguous ones — because DilatedAdd/DilatedSub
-// only require that each mask select all bits of one coordinate.
-func neighborKeysDilated(base uint64, masks []uint64, keys []uint64) {
-	for i, m := range masks {
-		lsb := m & -m
-		cb := base & m
-		if cb != 0 {
-			keys[2*i] = (base &^ m) | bits.DilatedSub(base, lsb, m)
-		} else {
-			keys[2*i] = InvalidKey
-		}
-		if cb != m {
-			keys[2*i+1] = (base &^ m) | bits.DilatedAdd(base, lsb, m)
-		} else {
-			keys[2*i+1] = InvalidKey
-		}
-	}
-}
-
-// neighborKeysDilatedTorus is the periodic variant of neighborKeysDilated,
-// following the torus engine's simple-graph convention: the −1 neighbor is
-// emitted only for side > 2 (on a 2-cycle it coincides with the +1 one) and
-// the +1 neighbor only for side > 1.
-func neighborKeysDilatedTorus(base uint64, masks []uint64, keys []uint64, side uint32) {
-	for i, m := range masks {
-		lsb := m & -m
-		if side > 2 {
-			keys[2*i] = (base &^ m) | bits.DilatedSub(base, lsb, m)
-		} else {
-			keys[2*i] = InvalidKey
-		}
-		if side > 1 {
-			keys[2*i+1] = (base &^ m) | bits.DilatedAdd(base, lsb, m)
-		} else {
-			keys[2*i+1] = InvalidKey
-		}
-	}
-}
-
-// neighborBlockDilated is the block loop behind the dilated curves'
-// NeighborKeysBlock: per-cell function call and mask reloads are hoisted, so
-// the whole sweep kernel is a straight run of integer ops. Specialized for
-// the d ≤ 3 universes the sweeps live in.
-func neighborBlockDilated(bases []uint64, masks []uint64, keys []uint64) {
-	switch len(masks) {
-	case 1:
-		m := masks[0]
-		for j, base := range bases {
-			dilatedPair(base, m, keys[2*j:2*j+2:2*j+2])
-		}
-	case 2:
-		m0, m1 := masks[0], masks[1]
-		for j, base := range bases {
-			row := keys[4*j : 4*j+4 : 4*j+4]
-			dilatedPair(base, m0, row[0:2])
-			dilatedPair(base, m1, row[2:4])
-		}
-	case 3:
-		m0, m1, m2 := masks[0], masks[1], masks[2]
-		for j, base := range bases {
-			row := keys[6*j : 6*j+6 : 6*j+6]
-			dilatedPair(base, m0, row[0:2])
-			dilatedPair(base, m1, row[2:4])
-			dilatedPair(base, m2, row[4:6])
-		}
-	default:
-		nd := 2 * len(masks)
-		for j, base := range bases {
-			neighborKeysDilated(base, masks, keys[j*nd:(j+1)*nd])
-		}
-	}
-}
-
-// dilatedPair writes the −1/+1 neighbor keys for one dilated mask.
-func dilatedPair(base, m uint64, out []uint64) {
-	lsb := m & -m
-	cb := base & m
-	if cb != 0 {
-		out[0] = (base &^ m) | bits.DilatedSub(base, lsb, m)
-	} else {
-		out[0] = InvalidKey
-	}
-	if cb != m {
-		out[1] = (base &^ m) | bits.DilatedAdd(base, lsb, m)
-	} else {
-		out[1] = InvalidKey
-	}
-}
-
-// neighborBlockDilatedTorus is the periodic block loop.
-func neighborBlockDilatedTorus(bases []uint64, masks []uint64, keys []uint64, side uint32) {
-	nd := 2 * len(masks)
-	for j, base := range bases {
-		neighborKeysDilatedTorus(base, masks, keys[j*nd:(j+1)*nd], side)
-	}
-}
-
 var (
-	_ Curve         = (*Z)(nil)
-	_ Batcher       = (*Z)(nil)
-	_ NeighborKeyer = (*Z)(nil)
+	_ Curve   = (*Z)(nil)
+	_ Batcher = (*Z)(nil)
 )
