@@ -109,24 +109,37 @@ func ZSumNNExact(d, k int) *big.Int {
 //	          (2·C(d−1,m) + C(d−1,m−1)),
 //
 // with T = Σ_{i=1}^{d} s^(i−1) = (n−1)/(s−1). Theorem 3 is the statement
-// that this quantity is asymptotically (1/d)·n^(1−1/d).
+// that this quantity is asymptotically (1/d)·n^(1−1/d). It is SimpleDAvgRat
+// rounded to float64.
 func SimpleDAvgExact(d, k int) float64 {
-	s := float64(Side(k))
-	n := float64(N(d, k))
+	f, _ := SimpleDAvgRat(d, k).Float64()
+	return f
+}
+
+// SimpleDAvgRat returns SimpleDAvgExact's formula as an exact rational:
+// every term of it is a ratio of integers.
+func SimpleDAvgRat(d, k int) *big.Rat {
+	sum := new(big.Rat)
 	if k == 0 {
-		return 0 // single cell, no neighbors
+		return sum // single cell, no neighbors
 	}
-	t := (n - 1) / (s - 1)
-	var sum float64
+	s := new(big.Int).SetUint64(Side(k))
+	s2 := new(big.Int).Sub(s, big.NewInt(2))
 	for m := 0; m <= d; m++ {
 		w := 2*binom(d-1, m) + binom(d-1, m-1)
 		if w == 0 {
 			continue
 		}
-		cells := math.Pow(2, float64(m)) * math.Pow(s-2, float64(d-m))
-		sum += cells / float64(2*d-m) * float64(w)
+		cells := new(big.Int).Lsh(new(big.Int).Exp(s2, big.NewInt(int64(d-m)), nil), uint(m))
+		cells.Mul(cells, new(big.Int).SetUint64(w))
+		sum.Add(sum, new(big.Rat).SetFrac(cells, big.NewInt(int64(2*d-m))))
 	}
-	return t / n * sum
+	// T/n = (n−1)/((s−1)·n)
+	n := N(d, k)
+	num := new(big.Int).SetUint64(n - 1)
+	den := new(big.Int).SetUint64(Side(k) - 1)
+	den.Mul(den, new(big.Int).SetUint64(n))
+	return sum.Mul(sum, new(big.Rat).SetFrac(num, den))
 }
 
 // SimpleDMaxExact returns the exact Dmax of the simple curve

@@ -3,6 +3,8 @@ package conformance
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"slices"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -10,34 +12,16 @@ import (
 	"repro/internal/grid"
 )
 
-// Floating-point tolerance budgets, in units in the last place. Integer-
-// valued quantities — Dmax numerators (sums of uint64 curve distances,
-// divided by the power-of-two n), Λ_i sums, S_{A′} — are exact in float64
-// at every swept size and are compared with ulpsExact.
-const (
-	// ulpsExact: same value computed through the same accumulation order
-	// (oracle vs workers=1, reversal metamorphism, integer-valued sums).
-	ulpsExact = 0
-	// ulpsWorkerSweep: the same Kahan-compensated sum split into a
-	// different number of chunks. Kahan partials are correctly rounded to
-	// well under one ulp each, so regroupings land within a couple of ulps
-	// of each other.
-	ulpsWorkerSweep = 8
-	// ulpsIsometry: a full reordering of the per-cell terms (axis
-	// permutation and reflection permute the cell enumeration). Each term
-	// carries one rounding from the δavg division, so the budget scales
-	// with the accumulated-error headroom rather than chunk count.
-	ulpsIsometry = 1024
-)
-
-// relEps is the relative slack for closed-form and inequality comparisons
-// whose two sides are computed through different float expressions.
+// relEps is the relative slack for comparisons against bounds and
+// estimators, whose two sides are computed through different float
+// expressions. The exact engines are compared with equality: they round an
+// exact rational once, so equal inputs give equal bits.
 const relEps = 1e-9
 
-// cmpULP checks |got − want| within the given ulp budget.
-func cmpULP(what string, got, want float64, ulps uint64) (Status, string) {
-	if d := ulpDiff(got, want); d > ulps {
-		return Fail, fmt.Sprintf("%s: got %.17g, want %.17g (%d ulps apart, budget %d)", what, got, want, d, ulps)
+// cmpNN requires two stretch results to be equal.
+func cmpNN(what string, got, want core.NN) (Status, string) {
+	if got != want {
+		return Fail, fmt.Sprintf("%s: got (Davg %.17g, Dmax %.17g), want (%.17g, %.17g)", what, got.DAvg, got.DMax, want.DAvg, want.DMax)
 	}
 	return Pass, ""
 }
@@ -74,30 +58,18 @@ func checkInverse(cx *caseCtx) (Status, string) {
 // demands bit-for-bit identical results.
 func checkDeterminism(cx *caseCtx) (Status, string) {
 	w := cx.cfg.Workers[len(cx.cfg.Workers)-1]
-	r1 := core.NNStretchResult(cx.c, w)
-	r2 := core.NNStretchResult(cx.c, w)
-	if r1 != r2 {
-		return Fail, fmt.Sprintf("NNStretchResult(workers=%d) not reproducible: (%.17g, %.17g) then (%.17g, %.17g)", w, r1.DAvg, r1.DMax, r2.DAvg, r2.DMax)
+	if st, msg := cmpNN(fmt.Sprintf("NNStretchResult(workers=%d) rerun", w), core.NNStretchResult(cx.c, w), core.NNStretchResult(cx.c, w)); st != Pass {
+		return st, msg
 	}
-	t1 := core.NNStretchTorusResult(cx.c, w)
-	t2 := core.NNStretchTorusResult(cx.c, w)
-	if t1 != t2 {
-		return Fail, fmt.Sprintf("NNStretchTorusResult(workers=%d) not reproducible", w)
-	}
-	return Pass, ""
+	return cmpNN(fmt.Sprintf("NNStretchTorusResult(workers=%d) rerun", w), core.NNStretchTorusResult(cx.c, w), core.NNStretchTorusResult(cx.c, w))
 }
 
-// checkWorkerSweep verifies the deterministic parallel reduction across the
-// configured worker counts: Dmax (integer-valued) must match exactly, Davg
-// within the worker-sweep ulp budget.
+// checkWorkerSweep verifies that the parallel reduction is exact: every
+// configured worker count gives the same Davg and Dmax.
 func checkWorkerSweep(cx *caseCtx) (Status, string) {
 	base := core.NNStretchResult(cx.c, cx.cfg.Workers[0])
 	for _, w := range cx.cfg.Workers[1:] {
-		nn := core.NNStretchResult(cx.c, w)
-		if nn.DMax != base.DMax {
-			return Fail, fmt.Sprintf("Dmax(workers=%d) = %.17g, workers=%d gives %.17g", w, nn.DMax, cx.cfg.Workers[0], base.DMax)
-		}
-		if st, msg := cmpULP(fmt.Sprintf("Davg(workers=%d vs %d)", w, cx.cfg.Workers[0]), nn.DAvg, base.DAvg, ulpsWorkerSweep); st != Pass {
+		if st, msg := cmpNN(fmt.Sprintf("workers=%d vs %d", w, cx.cfg.Workers[0]), core.NNStretchResult(cx.c, w), base); st != Pass {
 			return st, msg
 		}
 	}
@@ -131,49 +103,44 @@ func checkUnitStep(cx *caseCtx) (Status, string) {
 // --- Differential layer ---
 
 // checkSequentialOracle compares the independently-coded sequential sweep
-// against the parallel engine: bit-for-bit at workers = 1 (identical
-// accumulation order), within the worker-sweep budget at full parallelism.
+// against the parallel engine: the exact rationals at one worker and at
+// full parallelism, and the rounded result.
 func checkSequentialOracle(cx *caseCtx) (Status, string) {
-	refAvg, refMax := refNNStretch(cx.c)
-	nn1 := core.NNStretchResult(cx.c, 1)
-	if st, msg := cmpULP("Davg oracle vs workers=1", nn1.DAvg, refAvg, ulpsExact); st != Pass {
+	refAvg, refMax, ok := refNNStretch(cx.c)
+	if !ok {
+		return Skip, "lcm(d…2d)·n overflows the oracle's 64-bit denominator"
+	}
+	for _, w := range []int{1, 0} {
+		davg, dmax := core.NNStretchExact(cx.c, w)
+		if davg.Cmp(refAvg) != 0 || dmax.Cmp(refMax) != 0 {
+			return Fail, fmt.Sprintf("NNStretchExact(workers=%d) = (%v, %v), oracle (%v, %v)", w, davg, dmax, refAvg, refMax)
+		}
+	}
+	want := rounded(refAvg, refMax)
+	if st, msg := cmpNN("oracle vs workers=1", core.NNStretchResult(cx.c, 1), want); st != Pass {
 		return st, msg
 	}
-	if st, msg := cmpULP("Dmax oracle vs workers=1", nn1.DMax, refMax, ulpsExact); st != Pass {
-		return st, msg
-	}
-	ex := cx.exact()
-	if st, msg := cmpULP("Davg oracle vs parallel", ex.DAvg, refAvg, ulpsWorkerSweep); st != Pass {
-		return st, msg
-	}
-	return cmpULP("Dmax oracle vs parallel", ex.DMax, refMax, ulpsExact)
+	return cmpNN("oracle vs parallel", cx.exact(), want)
 }
 
 // checkTorusOracle does the same for the periodic-boundary engine, and at
 // k = 1 — where wrapping adds no new neighbors — additionally requires the
 // torus and open-grid engines to agree on the same numbers.
 func checkTorusOracle(cx *caseCtx) (Status, string) {
-	refAvg, refMax := refNNStretchTorus(cx.c)
+	refAvg, refMax, ok := refNNStretchTorus(cx.c)
+	if !ok {
+		return Skip, "lcm(d…2d)·n overflows the oracle's 64-bit denominator"
+	}
+	want := rounded(refAvg, refMax)
 	nn1 := core.NNStretchTorusResult(cx.c, 1)
-	if st, msg := cmpULP("torus Davg oracle vs workers=1", nn1.DAvg, refAvg, ulpsExact); st != Pass {
+	if st, msg := cmpNN("torus oracle vs workers=1", nn1, want); st != Pass {
 		return st, msg
 	}
-	if st, msg := cmpULP("torus Dmax oracle vs workers=1", nn1.DMax, refMax, ulpsExact); st != Pass {
-		return st, msg
-	}
-	nnP := core.NNStretchTorusResult(cx.c, 0)
-	if st, msg := cmpULP("torus Davg oracle vs parallel", nnP.DAvg, refAvg, ulpsWorkerSweep); st != Pass {
-		return st, msg
-	}
-	if st, msg := cmpULP("torus Dmax oracle vs parallel", nnP.DMax, refMax, ulpsExact); st != Pass {
+	if st, msg := cmpNN("torus oracle vs parallel", core.NNStretchTorusResult(cx.c, 0), want); st != Pass {
 		return st, msg
 	}
 	if cx.u.K() == 1 {
-		open := cx.exact()
-		if st, msg := cmpULP("torus vs open Davg at k=1", nn1.DAvg, open.DAvg, ulpsWorkerSweep); st != Pass {
-			return st, msg
-		}
-		return cmpULP("torus vs open Dmax at k=1", nn1.DMax, open.DMax, ulpsExact)
+		return cmpNN("torus vs open at k=1", nn1, cx.exact())
 	}
 	return Pass, ""
 }
@@ -205,12 +172,7 @@ func checkTableShadow(cx *caseCtx) (Status, string) {
 			return Fail, fmt.Sprintf("shadow Point(%d) = %v, curve gives %v", idx, q, p)
 		}
 	}
-	sh := core.NNStretchResult(shadow, 0)
-	ex := cx.exact()
-	if st, msg := cmpULP("shadow Davg", sh.DAvg, ex.DAvg, ulpsExact); st != Pass {
-		return st, msg
-	}
-	return cmpULP("shadow Dmax", sh.DMax, ex.DMax, ulpsExact)
+	return cmpNN("shadow", core.NNStretchResult(shadow, 0), cx.exact())
 }
 
 // checkKernelBatch drives the curve's kernel layer — IndexBatch and
@@ -255,28 +217,14 @@ func checkKernelSweep(cx *caseCtx) (Status, string) {
 		return Skip, "curve has no kernel fast path"
 	}
 	ref := curve.ScalarOnly(cx.c)
-	kn := core.NNStretchResult(cx.c, 0)
-	sn := core.NNStretchResult(ref, 0)
-	if st, msg := cmpULP("kernel Davg vs scalar sweep", kn.DAvg, sn.DAvg, ulpsExact); st != Pass {
+	if st, msg := cmpNN("kernel vs scalar sweep", core.NNStretchResult(cx.c, 0), core.NNStretchResult(ref, 0)); st != Pass {
 		return st, msg
 	}
-	if st, msg := cmpULP("kernel Dmax vs scalar sweep", kn.DMax, sn.DMax, ulpsExact); st != Pass {
+	if st, msg := cmpNN("kernel torus vs scalar sweep", core.NNStretchTorusResult(cx.c, 0), core.NNStretchTorusResult(ref, 0)); st != Pass {
 		return st, msg
 	}
-	kt := core.NNStretchTorusResult(cx.c, 0)
-	st := core.NNStretchTorusResult(ref, 0)
-	if s, msg := cmpULP("kernel torus Davg vs scalar sweep", kt.DAvg, st.DAvg, ulpsExact); s != Pass {
-		return s, msg
-	}
-	if s, msg := cmpULP("kernel torus Dmax vs scalar sweep", kt.DMax, st.DMax, ulpsExact); s != Pass {
-		return s, msg
-	}
-	kl := core.Lambdas(cx.c, 0)
-	sl := core.Lambdas(ref, 0)
-	for i := range sl {
-		if kl[i] != sl[i] {
-			return Fail, fmt.Sprintf("kernel Λ_%d = %d, scalar sweep gives %d", i+1, kl[i], sl[i])
-		}
+	if kl, sl := core.Lambdas(cx.c, 0), core.Lambdas(ref, 0); !slices.Equal(kl, sl) {
+		return Fail, fmt.Sprintf("kernel Λ = %v, scalar sweep gives %v", kl, sl)
 	}
 	return Pass, ""
 }
@@ -360,20 +308,22 @@ func checkSampledAllPairs(cx *caseCtx) (Status, string) {
 }
 
 // checkSimpleClosedForm compares the measured simple-curve stretch against
-// the exact finite-n closed forms: Davg from the boundary-subset formula
-// behind Theorem 3, Dmax = n^(1−1/d) from Proposition 2 (integer-valued,
-// hence exact).
+// the exact finite-n closed forms, as rationals: Davg from the
+// boundary-subset formula behind Theorem 3, Dmax = n^(1−1/d) from
+// Proposition 2.
 func checkSimpleClosedForm(cx *caseCtx) (Status, string) {
 	if cx.c.Name() != "simple" {
 		return Skip, "closed form applies to the simple curve"
 	}
-	ex := cx.exact()
 	d, k := cx.u.D(), cx.u.K()
-	closedAvg := bounds.SimpleDAvgExact(d, k)
-	if diff := math.Abs(ex.DAvg - closedAvg); diff > relEps*(1+closedAvg) {
-		return Fail, fmt.Sprintf("Davg measured %.17g, closed form %.17g", ex.DAvg, closedAvg)
+	davg, dmax := core.NNStretchExact(cx.c, 0)
+	if want := bounds.SimpleDAvgRat(d, k); davg.Cmp(want) != 0 {
+		return Fail, fmt.Sprintf("Davg measured %v, closed form %v", davg, want)
 	}
-	return cmpULP("Dmax vs Proposition 2", ex.DMax, bounds.SimpleDMaxExact(d, k), ulpsExact)
+	if want := new(big.Rat).SetFloat64(bounds.SimpleDMaxExact(d, k)); dmax.Cmp(want) != 0 {
+		return Fail, fmt.Sprintf("Dmax measured %v, Proposition 2 gives %v", dmax, want)
+	}
+	return Pass, ""
 }
 
 // checkZLambdaClosedForm compares the measured per-dimension sums Λ_i
@@ -450,37 +400,21 @@ func checkAxisPermutation(cx *caseCtx) (Status, string) {
 	if err != nil {
 		return Fail, err.Error()
 	}
-	w := core.NNStretchResult(wrapped, 0)
-	ex := cx.exact()
-	if st, msg := cmpULP("Dmax under axis permutation", w.DMax, ex.DMax, ulpsExact); st != Pass {
-		return st, msg
-	}
-	return cmpULP("Davg under axis permutation", w.DAvg, ex.DAvg, ulpsIsometry)
+	return cmpNN("under axis permutation", core.NNStretchResult(wrapped, 0), cx.exact())
 }
 
 // checkReflection verifies stretch invariance under reflecting every axis.
 func checkReflection(cx *caseCtx) (Status, string) {
 	mask := uint64(1)<<uint(cx.u.D()) - 1
 	wrapped := curve.NewReflected(cx.c, mask)
-	w := core.NNStretchResult(wrapped, 0)
-	ex := cx.exact()
-	if st, msg := cmpULP("Dmax under reflection", w.DMax, ex.DMax, ulpsExact); st != Pass {
-		return st, msg
-	}
-	return cmpULP("Davg under reflection", w.DAvg, ex.DAvg, ulpsIsometry)
+	return cmpNN("under reflection", core.NNStretchResult(wrapped, 0), cx.exact())
 }
 
 // checkReversal verifies stretch invariance under index reversal
-// π → n−1−π, which preserves every curve distance exactly and visits cells
-// in the same enumeration order — so the agreement must be bit-for-bit.
+// π → n−1−π, which preserves every curve distance exactly.
 func checkReversal(cx *caseCtx) (Status, string) {
 	wrapped := curve.NewReversed(cx.c)
-	w := core.NNStretchResult(wrapped, 0)
-	ex := cx.exact()
-	if st, msg := cmpULP("Dmax under reversal", w.DMax, ex.DMax, ulpsExact); st != Pass {
-		return st, msg
-	}
-	return cmpULP("Davg under reversal", w.DAvg, ex.DAvg, ulpsExact)
+	return cmpNN("under reversal", core.NNStretchResult(wrapped, 0), cx.exact())
 }
 
 // checkRefinementMonotone verifies Davg does not decrease under grid
@@ -510,9 +444,10 @@ func checkTheorem1Bound(cx *caseCtx) (Status, string) {
 }
 
 // checkDMaxGeDAvg verifies Dmax ≥ Davg, the relation behind Proposition 1.
+// Rounding is monotone, so it holds exactly between the roundings too.
 func checkDMaxGeDAvg(cx *caseCtx) (Status, string) {
 	ex := cx.exact()
-	if ex.DMax < ex.DAvg-relEps*(1+ex.DAvg) {
+	if ex.DMax < ex.DAvg {
 		return Fail, fmt.Sprintf("Dmax %.9g < Davg %.9g", ex.DMax, ex.DAvg)
 	}
 	return Pass, ""

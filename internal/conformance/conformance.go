@@ -20,7 +20,7 @@
 //     match the closed forms of the bounds package wherever the paper (or
 //     this reproduction) proves a formula — Λ_i(Z) of Lemma 5, Davg/Dmax of
 //     the simple curve (Theorem 3, Proposition 2), and the S_{A′} identity
-//     of Lemma 2, all as exact integer or ulp-bounded comparisons.
+//     of Lemma 2, all as exact integer or rational comparisons.
 //
 //   - Metamorphic: the stretch metrics are invariant under the grid
 //     isometries (axis permutation, reflection) and under curve reversal;
@@ -29,9 +29,8 @@
 //     lower bound of Theorem 1, the Dmax ≥ Davg relation of Proposition 1,
 //     the Lemma 3 sandwich, or the all-pairs bounds of Propositions 3–4.
 //
-// Floating-point comparisons between engines use a documented ulp budget
-// (see the tolerance constants in checks.go); integer-valued quantities
-// (Λ sums, S_{A′}, Dmax numerators) are compared exactly.
+// The exact engines are compared with equality; only bounds and estimators
+// carry a tolerance (see relEps in checks.go).
 //
 // The package is a plain library so fuzz targets, chaos runs, the
 // experiment harness (experiment ext-conform) and the sfcconform CLI can
@@ -204,7 +203,7 @@ type caseCtx struct {
 // use.
 func (cx *caseCtx) exact() core.NN {
 	if !cx.haveExact {
-		cx.nn = nnStretchEngine(cx.c, 0)
+		cx.nn = core.NNStretchResult(cx.c, 0)
 		cx.haveExact = true
 	}
 	return cx.nn

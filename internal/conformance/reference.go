@@ -1,113 +1,128 @@
 package conformance
 
 import (
-	"math"
+	"math/big"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/grid"
 )
 
-// nnStretchEngine is the production parallel engine under test.
-func nnStretchEngine(c curve.Curve, workers int) core.NN {
-	return core.NNStretchResult(c, workers)
+// The sequential oracles below share no code with the engines: they
+// enumerate neighbours their own way and reduce in their own integers.
+// A cell α contributes S(α)/|N(α)| to n·Davg, where S(α) is its summed
+// neighbour distance and |N(α)| ∈ [d, 2d], so with L = lcm(d…2d)
+// n·L·Davg = Σ_α S(α)·(L/|N(α)|) is an integer; the oracles add it, and
+// n·Dmax = Σ_α δmax(α), in 128 bits and divide once.
+
+// oracleSum is an oracle's 128-bit accumulator.
+type oracleSum struct{ hi, lo uint64 }
+
+// addMul adds x·y.
+func (s *oracleSum) addMul(x, y uint64) {
+	hi, lo := bits.Mul64(x, y)
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, lo, 0)
+	s.hi += hi + c
 }
 
-// refNNStretch is the sequential brute-force oracle for (Davg, Dmax): an
-// independently-coded single-pass sweep over the cells in Linear order,
-// enumerating neighbors through the grid package's callback API rather than
-// the engine's inlined dimension loop. It accumulates with the same
-// Kahan-compensated scheme the engine specifies, so its result must agree
-// bit-for-bit with core.NNStretchResult at workers = 1 — any divergence convicts
-// one of the two implementations.
-func refNNStretch(c curve.Curve) (davg, dmax float64) {
+// over returns the sum divided by den.
+func (s oracleSum) over(den uint64) *big.Rat {
+	num := new(big.Int).SetUint64(s.hi)
+	num.Lsh(num, 64).Add(num, new(big.Int).SetUint64(s.lo))
+	return new(big.Rat).SetFrac(num, new(big.Int).SetUint64(den))
+}
+
+// degreeLCM returns lcm(d…2d), and false when it, or n times it, does not
+// fit in 64 bits.
+func degreeLCM(d int, n uint64) (uint64, bool) {
+	l := uint64(1)
+	for g := uint64(d); g <= uint64(2*d); g++ {
+		a, b := l, g
+		for b != 0 {
+			a, b = b, a%b
+		}
+		hi, lo := bits.Mul64(l/a, g)
+		if hi != 0 {
+			return 0, false
+		}
+		l = lo
+	}
+	hi, _ := bits.Mul64(l, n)
+	return l, hi == 0
+}
+
+// refStretch is the sequential brute-force oracle for (Davg, Dmax): a
+// single pass over the cells in Linear order that calls neighbors to visit
+// each cell's neighbours, returning both metrics as exact rationals. ok is
+// false when lcm(d…2d)·n does not fit in 64 bits.
+func refStretch(c curve.Curve, neighbors func(p, q grid.Point, visit func(grid.Point))) (davg, dmax *big.Rat, ok bool) {
 	u := c.Universe()
 	n := u.N()
 	if n == 1 {
-		return 0, 0
+		return new(big.Rat), new(big.Rat), true
 	}
-	var sumAvg, cAvg, sumMax, cMax float64
-	p := u.NewPoint()
+	l, ok := degreeLCM(u.D(), n)
+	if !ok {
+		return nil, nil, false
+	}
+	var avg, mx oracleSum
+	p, q := u.NewPoint(), u.NewPoint()
 	for idx := uint64(0); idx < n; idx++ {
 		u.FromLinear(idx, p)
 		base := c.Index(p)
-		var sum, max uint64
-		deg := 0
-		u.Neighbors(p, func(_ int, q grid.Point) {
-			d := absDiff(base, c.Index(q))
-			sum += d
-			if d > max {
-				max = d
-			}
-			deg++
+		var sum, far, deg uint64
+		neighbors(p, q, func(nb grid.Point) {
+			d := absDiff(base, c.Index(nb))
+			sum, far, deg = sum+d, max(far, d), deg+1
 		})
-		y := float64(sum)/float64(deg) - cAvg
-		t := sumAvg + y
-		cAvg = (t - sumAvg) - y
-		sumAvg = t
-
-		y = float64(max) - cMax
-		t = sumMax + y
-		cMax = (t - sumMax) - y
-		sumMax = t
+		if deg > 0 {
+			avg.addMul(sum, l/deg)
+			mx.addMul(far, 1)
+		}
 	}
-	return sumAvg / float64(n), sumMax / float64(n)
+	return avg.over(n * l), mx.over(n), true
 }
 
-// refNNStretchTorus is the sequential oracle for the periodic-boundary
-// engine, mirroring core.NNStretchTorusResult's Kahan-compensated
-// accumulation over a single chunk so that workers = 1 must agree
-// bit-for-bit.
-func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
+// refNNStretch is the oracle for the open-grid engine: it enumerates
+// neighbours through the grid package's callback API rather than the
+// engine's row pass.
+func refNNStretch(c curve.Curve) (davg, dmax *big.Rat, ok bool) {
 	u := c.Universe()
-	n := u.N()
-	if n == 1 {
-		return 0, 0
-	}
-	side := u.Side()
-	d := u.D()
+	return refStretch(c, func(p, _ grid.Point, visit func(grid.Point)) {
+		u.Neighbors(p, func(_ int, q grid.Point) { visit(q) })
+	})
+}
+
+// refNNStretchTorus is the oracle for the periodic-boundary engine, with
+// its own wrap arithmetic: on a 2-cycle the ±1 neighbours coincide and
+// count once.
+func refNNStretchTorus(c curve.Curve) (davg, dmax *big.Rat, ok bool) {
+	side := c.Universe().Side()
 	deltas := []uint32{1}
 	if side > 2 {
 		deltas = append(deltas, side-1)
 	}
-	var sumAvg, sumMax, cAvg, cMax float64
-	p := u.NewPoint()
-	q := u.NewPoint()
-	for idx := uint64(0); idx < n; idx++ {
-		u.FromLinear(idx, p)
-		base := c.Index(p)
-		var sum, max uint64
-		deg := 0
+	return refStretch(c, func(p, q grid.Point, visit func(grid.Point)) {
 		copy(q, p)
-		for dim := 0; dim < d; dim++ {
+		for dim := range p {
 			for _, delta := range deltas {
-				q[dim] = (p[dim] + delta) & (side - 1)
-				if q[dim] == p[dim] {
-					continue
+				if q[dim] = (p[dim] + delta) & (side - 1); q[dim] != p[dim] {
+					visit(q)
 				}
-				dd := absDiff(base, c.Index(q))
-				sum += dd
-				if dd > max {
-					max = dd
-				}
-				deg++
 			}
 			q[dim] = p[dim]
 		}
-		if deg == 0 {
-			continue
-		}
-		y := float64(sum)/float64(deg) - cAvg
-		t := sumAvg + y
-		cAvg = (t - sumAvg) - y
-		sumAvg = t
+	})
+}
 
-		y = float64(max) - cMax
-		t = sumMax + y
-		cMax = (t - sumMax) - y
-		sumMax = t
-	}
-	return sumAvg / float64(n), sumMax / float64(n)
+// rounded returns the float64 roundings of exact (Davg, Dmax) — what the
+// engines must return.
+func rounded(davg, dmax *big.Rat) core.NN {
+	a, _ := davg.Float64()
+	m, _ := dmax.Float64()
+	return core.NN{DAvg: a, DMax: m}
 }
 
 // absDiff returns |a − b| for curve indices.
@@ -116,16 +131,4 @@ func absDiff(a, b uint64) uint64 {
 		return a - b
 	}
 	return b - a
-}
-
-// ulpDiff returns the distance between two non-negative floats in units in
-// the last place — the number of representable float64 values strictly
-// between them, plus one if they differ. Both arguments must be finite and
-// ≥ 0 (every stretch metric is).
-func ulpDiff(a, b float64) uint64 {
-	ba, bb := math.Float64bits(a), math.Float64bits(b)
-	if ba >= bb {
-		return ba - bb
-	}
-	return bb - ba
 }

@@ -22,6 +22,9 @@
 package core
 
 import (
+	"math/big"
+	"math/bits"
+
 	"repro/internal/curve"
 	"repro/internal/grid"
 	"repro/internal/parallel"
@@ -82,106 +85,160 @@ func DMax(c curve.Curve, workers int) float64 {
 }
 
 // NNStretchResult computes Davg(π) and Dmax(π) in a single parallel sweep
-// over all cells. The arithmetic (Kahan-compensated per-chunk accumulation,
-// chunk-ordered reduction) is specified exactly; the conformance suite
-// checks it bit-for-bit against a sequential oracle. Curves with a batch
-// encoder (curve.HasKernel) are swept through a sliding key window: each
-// cell is encoded once and its neighbours' keys are read back from the
-// window (see sweepWindow). The per-cell integer aggregates and their order
-// are those of the scalar sweep, so the result is bit-identical to it (the
-// conformance kernel-sweep column enforces this).
+// over all cells. Each chunk returns integers (see nnAcc), which add
+// exactly, so the result does not depend on the worker count: reduceNN
+// rounds the exact rationals NNStretchExact returns to float64 once.
+// Curves with a batch encoder (curve.HasKernel) are swept by a row pass
+// over a sliding key window: each cell is encoded once and its neighbours'
+// keys are read back from the window (see sweepWindow). Its integers are
+// those of the scalar sweep, so kernel and scalar results are equal.
 func NNStretchResult(c curve.Curve, workers int) NN {
 	u := c.Universe()
-	n := u.N()
-	if n == 1 {
+	if u.N() == 1 {
 		return NN{} // a single cell has no neighbors
 	}
+	return reduceNN(nnParts(c, workers), u.D(), u.N())
+}
+
+// NNStretchExact returns Davg(π) and Dmax(π) as exact rationals; their
+// float64 roundings are NNStretchResult.
+func NNStretchExact(c curve.Curve, workers int) (davg, dmax *big.Rat) {
+	u := c.Universe()
+	if u.N() == 1 {
+		return new(big.Rat), new(big.Rat)
+	}
+	return exactNN(nnParts(c, workers), u.D(), u.N())
+}
+
+// nnParts runs the open-grid NN sweep and returns its chunk totals.
+func nnParts(c curve.Curve, workers int) []nnAcc {
 	partial := nnScalarPartial(c)
 	if curve.HasKernel(c) {
-		partial = nnKernelPartial(c)
+		partial = nnKernelPartial(c, false)
 	}
-	return reduceNN(parallel.MapRanges(n, workers, partial), n)
+	return parallel.MapRanges(c.Universe().N(), workers, partial)
 }
 
-// nnScalarPartial is the reference chunk worker behind NNStretchResult: per
-// cell a FromLinear and 1+2d Index calls. Curves without a batch encoder,
-// and curve.ScalarOnly, take it.
+// nnScalarPartial is the reference chunk worker behind NNStretchResult.
 func nnScalarPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
+	return scalarPartial(c, c.Universe().NeighborsInto)
+}
+
+// scalarPartial is the reference chunk worker of the NN sweeps: per cell a
+// FromLinear and an Index call for the cell and for each neighbour that
+// neighbors visits. Curves without a batch encoder, and curve.ScalarOnly,
+// take it.
+func scalarPartial(c curve.Curve, neighbors func(p, q grid.Point, visit func(int, grid.Point))) func(lo, hi uint64) nnAcc {
 	u := c.Universe()
 	return func(lo, hi uint64) nnAcc {
-		p := u.NewPoint()
-		q := u.NewPoint()
-		side := u.Side()
-		d := u.D()
-		var a nnSum
+		p, q := u.NewPoint(), u.NewPoint()
+		a := newNNAcc(u.D())
+		var base, sum, far uint64
+		var deg int
+		visit := func(_ int, nb grid.Point) {
+			dd := absDiff(base, c.Index(nb))
+			sum, far, deg = sum+dd, max(far, dd), deg+1
+		}
 		for idx := lo; idx < hi; idx++ {
 			u.FromLinear(idx, p)
-			base := c.Index(p)
-			var sum, max uint64
-			deg := 0
-			copy(q, p)
-			for dim := 0; dim < d; dim++ {
-				if p[dim] > 0 {
-					q[dim] = p[dim] - 1
-					dd := absDiff(base, c.Index(q))
-					sum += dd
-					if dd > max {
-						max = dd
-					}
-					deg++
-					q[dim] = p[dim]
-				}
-				if p[dim]+1 < side {
-					q[dim] = p[dim] + 1
-					dd := absDiff(base, c.Index(q))
-					sum += dd
-					if dd > max {
-						max = dd
-					}
-					deg++
-					q[dim] = p[dim]
-				}
+			base, sum, far, deg = c.Index(p), 0, 0, 0
+			if neighbors(p, q, visit); deg > 0 {
+				a.addCell(sum, far, deg)
 			}
-			a.addCell(sum, max, deg)
 		}
-		return a.acc()
+		return a
 	}
 }
 
-// kahan is a Kahan-compensated running sum.
-type kahan struct{ sum, c float64 }
+// u128 is an unsigned 128-bit integer: a sweep's sums of curve distances
+// outgrow 64 bits at n ≈ 2^31, 128 bits at no size that can be swept.
+type u128 struct{ hi, lo uint64 }
 
-func (k *kahan) add(x float64) {
-	y := x - k.c
-	t := k.sum + y
-	k.c = (t - k.sum) - y
-	k.sum = t
+func (a *u128) add(b u128) {
+	var c uint64
+	a.lo, c = bits.Add64(a.lo, b.lo, 0)
+	a.hi += b.hi + c
 }
 
-// nnSum accumulates one chunk of an NN sweep — the open-grid and torus
-// engines, scalar and kernelized, all fold cells through it, so the
-// arithmetic the conformance oracles mirror is written once.
-type nnSum struct{ avg, max kahan }
-
-// addCell folds one cell's integer neighbor aggregates into the chunk:
-// δavg = sum/deg and δmax = max. deg must be positive.
-func (s *nnSum) addCell(sum, max uint64, deg int) {
-	s.avg.add(float64(sum) / float64(deg))
-	s.max.add(float64(max))
+func (a u128) big() *big.Int {
+	x := new(big.Int).SetUint64(a.hi)
+	return x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(a.lo))
 }
 
-func (s *nnSum) acc() nnAcc { return nnAcc{avg: s.avg.sum, max: s.max.sum} }
+// nnAcc is one chunk of an NN sweep in integers. Davg is
+// (1/n)·Σ_{g=d}^{2d} T_g/g, where T_g sums S(α) = Σ_{β∈N(α)} Δπ(α, β) over
+// the cells of degree g, and Dmax is (1/n)·Σ δmax(α); sum[g−d] holds the
+// chunk's T_g and max its Σ δmax. Every engine — open grid and torus,
+// scalar and row pass — returns this struct.
+type nnAcc struct {
+	sum []u128
+	max u128
+}
 
-// reduceNN combines the chunk totals in chunk order, compensated like the
-// chunks themselves, so the worker count moves the result by at most the
-// few ulps the conformance worker-sweep budget allows.
-func reduceNN(parts []nnAcc, n uint64) NN {
-	var avg, max kahan
-	for _, a := range parts {
-		avg.add(a.avg)
-		max.add(a.max)
+func newNNAcc(d int) nnAcc { return nnAcc{sum: make([]u128, d+1)} }
+
+// addCell folds in one cell: sum = S(α), max = δmax(α), deg = |N(α)| ∈
+// [d, 2d]. S(α) ≤ 2d·(n−1) fits in 64 bits in every universe small enough
+// to sweep.
+func (a *nnAcc) addCell(sum, max uint64, deg int) {
+	a.sum[deg-len(a.sum)+1].add(u128{lo: sum})
+	a.max.add(u128{lo: max})
+}
+
+// addNN adds the chunk totals of a sweep in d dimensions.
+func addNN(parts []nnAcc, d int) nnAcc {
+	tot := newNNAcc(d)
+	for _, p := range parts {
+		for g, t := range p.sum {
+			tot.sum[g].add(t)
+		}
+		tot.max.add(p.max)
 	}
-	return NN{DAvg: avg.sum / float64(n), DMax: max.sum / float64(n)}
+	return tot
+}
+
+// exactNN returns Davg and Dmax of a sweep over n cells in d dimensions,
+// from its chunk totals, as exact rationals: with L = d·(d+1)···2d, a
+// common multiple of the degrees, n·L·Davg = Σ_g T_g·(L/g).
+func exactNN(parts []nnAcc, d int, n uint64) (davg, dmax *big.Rat) {
+	tot := addNN(parts, d)
+	l, num, w, x := big.NewInt(1), new(big.Int), new(big.Int), new(big.Int)
+	for g := d; g <= 2*d; g++ {
+		l.Mul(l, x.SetInt64(int64(g)))
+	}
+	for g, t := range tot.sum {
+		w.Quo(l, x.SetInt64(int64(g+d)))
+		num.Add(num, w.Mul(w, t.big()))
+	}
+	nb := new(big.Int).SetUint64(n)
+	return new(big.Rat).SetFrac(num, l.Mul(l, nb)), new(big.Rat).SetFrac(tot.max.big(), nb)
+}
+
+// reduceNN rounds the exact Davg and Dmax of a sweep's chunk totals to
+// float64, once each. n is a power of two, so dividing by it is exact:
+// while Σ δmax and n·L·Davg (with L as in exactNN) stay below 2^53, one
+// float division of exact operands rounds each correctly, and the reduce
+// allocates nothing. Larger sums go through exactNN's big.Rats.
+func reduceNN(parts []nnAcc, d int, n uint64) NN {
+	const exact = 1 << 53
+	tot := addNN(parts, d)
+	num, l := uint64(0), uint64(1)
+	for g := d; g <= 2*d && l < exact; g++ {
+		l *= uint64(g)
+	}
+	for g, t := range tot.sum {
+		hi, lo := bits.Mul64(t.lo, l/uint64(g+d))
+		if num += lo; t.hi|hi != 0 || lo >= exact || num >= exact {
+			l = exact
+		}
+	}
+	if l < exact && tot.max.hi == 0 && tot.max.lo < exact {
+		return NN{DAvg: float64(num) / float64(l) / float64(n), DMax: float64(tot.max.lo) / float64(n)}
+	}
+	davg, dmax := exactNN(parts, d, n)
+	a, _ := davg.Float64()
+	m, _ := dmax.Float64()
+	return NN{DAvg: a, DMax: m}
 }
 
 // absDiff returns |a − b| for curve indices.

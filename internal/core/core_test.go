@@ -111,14 +111,30 @@ func TestNNStretchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNNStretchWorkerInvariance: the chunks return integers, so every
+// worker count gives the same Davg and Dmax — open grid and torus, kernel
+// and scalar sweeps, on universes large enough (n ≥ 4096) to be split.
 func TestNNStretchWorkerInvariance(t *testing.T) {
-	u := grid.MustNew(2, 5)
-	z := curve.NewZ(u)
-	avg1, max1 := DAvg(z, 1), DMax(z, 1)
-	for _, w := range []int{2, 3, 8} {
-		avg, max := DAvg(z, w), DMax(z, w)
-		if avg != avg1 || max != max1 {
-			t.Fatalf("workers=%d: (%v,%v) != (%v,%v)", w, avg, max, avg1, max1)
+	for _, g := range []struct{ d, k int }{{1, 13}, {2, 6}, {3, 4}} {
+		u := grid.MustNew(g.d, g.k)
+		for _, name := range curve.Names() {
+			c, err := curve.ByName(name, u, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			open, torus := NNStretchResult(c, 1), NNStretchTorusResult(c, 1)
+			avg1, max1 := NNStretchExact(c, 1)
+			for _, w := range []int{2, 3, 5, 8} {
+				if got := NNStretchResult(c, w); got != open {
+					t.Errorf("d=%d k=%d %s workers=%d: %+v, one worker %+v", g.d, g.k, name, w, got, open)
+				}
+				if got := NNStretchTorusResult(c, w); got != torus {
+					t.Errorf("d=%d k=%d %s workers=%d: torus %+v, one worker %+v", g.d, g.k, name, w, got, torus)
+				}
+				if avg, max := NNStretchExact(c, w); avg.Cmp(avg1) != 0 || max.Cmp(max1) != 0 {
+					t.Errorf("d=%d k=%d %s workers=%d: exact (%v, %v), one worker (%v, %v)", g.d, g.k, name, w, avg, max, avg1, max1)
+				}
+			}
 		}
 	}
 }
@@ -231,11 +247,14 @@ func TestSimpleCurveMatchesClosedForms(t *testing.T) {
 		u := grid.MustNew(d, k)
 		s := curve.NewSimple(u)
 		avg, max := DAvg(s, 3), DMax(s, 3)
-		if want := bounds.SimpleDAvgExact(d, k); math.Abs(avg-want) > 1e-9 {
+		if want := bounds.SimpleDAvgExact(d, k); avg != want {
 			t.Errorf("d=%d k=%d: Davg(S) = %v, closed form %v", d, k, avg, want)
 		}
-		if want := bounds.SimpleDMaxExact(d, k); math.Abs(max-want) > 1e-9 {
+		if want := bounds.SimpleDMaxExact(d, k); max != want {
 			t.Errorf("d=%d k=%d: Dmax(S) = %v, closed form %v (Prop 2)", d, k, max, want)
+		}
+		if got, _ := NNStretchExact(s, 3); got.Cmp(bounds.SimpleDAvgRat(d, k)) != 0 {
+			t.Errorf("d=%d k=%d: exact Davg(S) = %v, closed form %v", d, k, got, bounds.SimpleDAvgRat(d, k))
 		}
 	}
 }
@@ -257,7 +276,7 @@ func TestStretchInvariantUnderIsometries(t *testing.T) {
 		curve.NewReversed(base),
 	} {
 		avg, max := DAvg(c, 2), DMax(c, 2)
-		if math.Abs(avg-avg0) > 1e-9 || math.Abs(max-max0) > 1e-9 {
+		if avg != avg0 || max != max0 {
 			t.Errorf("%s: stretch (%v,%v) != base (%v,%v)", c.Name(), avg, max, avg0, max0)
 		}
 	}

@@ -9,69 +9,81 @@ import (
 
 // Kernelized sweep partials: when the curve has a batch encoder
 // (curve.HasKernel), the exact engines encode every cell once with
-// IndexBatch and read each neighbour's key back from a sliding window of
-// keys, instead of a FromLinear + 1+2d interface Index calls per cell. In
-// row-major (Linear) order the neighbour p ± e_i sits s^i cells away, so a
-// window of 2·s^(d−1) keys around the cell being reduced holds all of them.
-// The per-cell integer aggregates (sum, max, degree) and the chunk-ordered
-// floating-point accumulation are identical to the scalar partials, so the
-// results are bit-for-bit the same; the conformance engine's kernel-sweep
-// column enforces that permanently.
+// IndexBatch into a sliding window of keys and sweep the chunk in one row
+// pass over that window. In row-major (Linear) order the neighbour p ± e_i
+// sits s^i cells away, so every neighbour key is another cell's own key.
+// Rows whose coordinates 1…d−1 are all strictly inside the grid hold, apart
+// from their two ends, only cells of degree 2d: at d = 2 and 3 those cells
+// take a straight loop that differences each edge along dimensions 0 and 1
+// once. Every other cell takes one general per-cell path. Both add integers
+// — the per-degree distance sums T_g, Σ δmax and the per-dimension edge
+// sums — exactly those of the scalar partials, so kernel and scalar results
+// are equal; the conformance engine's kernel-sweep column enforces that
+// permanently.
 
-// kernelBlock is the number of cells whose coordinates and keys are staged
-// per batch: big enough to amortize dispatch, small enough that the staging
-// buffers (12 bytes per cell at d=3) stay in L1.
+// kernelBlock is the number of cells whose coordinates are staged per
+// IndexBatch call: big enough to amortize dispatch, small enough that the
+// staging buffer (12 bytes per cell at d=3) stays in L1. On the line it is
+// also the longest row segment of the row pass.
 const kernelBlock = 256
 
-// noKey marks a missing neighbour in a block's neighbour rows. Curve keys
-// occupy at most 62 bits, so the all-ones value can never be a real key.
-const noKey = ^uint64(0)
-
-// nnAcc carries one chunk's running totals of the NN sweeps.
-type nnAcc struct{ avg, max float64 }
-
 // fillBlockCoords writes the coordinates of the cells with Linear indices
-// [lo, lo+cnt) into coords, row-major, by decoding the first cell and
-// incrementing with carries from there (dimension 0 is least significant).
-// The copy-and-carry is fused into one elementwise pass — a memmove call per
-// 8-byte row would dominate the whole sweep kernel.
+// [lo, lo+cnt) into coords, row-major: it decodes the first cell of each
+// row run and counts coordinate 0 up from there, the others being the
+// run's (dimension 0 is least significant). The copy is an elementwise
+// loop — a memmove call per 8-byte row would dominate the whole sweep.
 func fillBlockCoords(u *grid.Universe, lo uint64, cnt int, coords []uint32) {
 	d := u.D()
-	side := u.Side()
-	u.FromLinear(lo, grid.Point(coords[:d]))
-	for j := 1; j < cnt; j++ {
-		prev := coords[(j-1)*d : j*d : j*d]
-		row := coords[j*d : (j+1)*d : (j+1)*d]
-		i := 0
-		for ; i < d; i++ {
-			if v := prev[i] + 1; v < side {
-				row[i] = v
-				i++
-				break
+	side := int(u.Side())
+	for j := 0; j < cnt; {
+		first := coords[j*d : (j+1)*d : (j+1)*d]
+		u.FromLinear(lo+uint64(j), grid.Point(first))
+		run := min(cnt-j, side-int(first[0]))
+		rest := coords[(j+1)*d : (j+run)*d]
+		switch d {
+		case 2:
+			x, y := first[0], first[1]
+			for r := 0; r+1 < len(rest); r += 2 {
+				x++
+				c := rest[r : r+2 : r+2]
+				c[0], c[1] = x, y
 			}
-			row[i] = 0
+		case 3:
+			x, y, z := first[0], first[1], first[2]
+			for r := 0; r+2 < len(rest); r += 3 {
+				x++
+				c := rest[r : r+3 : r+3]
+				c[0], c[1], c[2] = x, y, z
+			}
+		default:
+			for r := 0; r+d <= len(rest); r += d {
+				rest[r] = first[0] + uint32(r/d+1)
+				for i := 1; i < d; i++ {
+					rest[r+i] = first[i]
+				}
+			}
 		}
-		for ; i < d; i++ {
-			row[i] = prev[i]
-		}
+		j += run
 	}
 }
 
 // sweepWindow is one chunk worker's view of the curve keys while it sweeps
 // its chunk [lo, hi) in Linear order. The key of cell lin lives at
-// ring[lin & mask]. Before a block [blo, blo+cnt) is reduced, the encode
-// front is advanced to blo+cnt+s^(d−1), so every neighbour key the block
-// reads, at most s^(d−1) cells behind or ahead, is in the ring. Each chunk
-// encodes [lo − s^(d−1), hi + s^(d−1)) ∩ [0, n) exactly once.
+// ring[lin & mask]. The chunk is swept in row segments — the cells of one
+// row (equal coordinates 1…d−1) inside the chunk, at most seg of them.
+// Before a segment [a, b) is swept, the encode front is advanced to b+s^(d−1),
+// so every neighbour key it reads, at most s^(d−1) cells behind or ahead, is
+// in the ring. Each chunk encodes [lo − s^(d−1), hi + s^(d−1)) ∩ [0, n)
+// exactly once.
 //
-// Memory: a block reads 2·s^(d−1) + kernelBlock consecutive keys; the ring
-// is the next power of two ≥ 2·s^(d−1) + 2·kernelBlock keys, 8 bytes each,
-// so that a block of slack separates the front from the oldest key still
-// read. The torus sweep adds the keys of the first and last
+// Memory: a segment reads 2·s^(d−1) + seg consecutive keys, so the ring is
+// the next power of two ≥ 2·s^(d−1) + seg keys, 8 bytes each. Being a power
+// of two ≥ s, it holds every full row contiguously. The up-edge buffer is
+// one row, 8·s bytes. The torus sweep adds the keys of the first and last
 // slab (cells with p[d−1] = 0 and p[d−1] = s−1), 16·s^(d−1) bytes. At d = 3,
-// k = 7 that is 512 KiB + 256 KiB per worker, plus a few KiB of block
-// staging. Windows are recycled through windowPool, so a repeated sweep
-// allocates none of it.
+// k = 7 that is 512 KiB + 256 KiB per worker, plus a few KiB of staging.
+// Windows are recycled through windowPool, so a repeated sweep allocates
+// none of it.
 type sweepWindow struct {
 	u       *grid.Universe
 	b       curve.Batcher
@@ -80,14 +92,19 @@ type sweepWindow struct {
 	top     uint64   // s−1, the largest coordinate
 	strides []uint64 // s^i: the Linear distance of the ±e_i neighbour
 	slab    uint64   // s^(d−1) = strides[d−1]
+	seg     uint64   // longest row segment: s, or kernelBlock on the line
 	ring    []uint64
 	mask    uint64
 	front   uint64   // next cell to encode; ring holds [front−len(ring), front)
 	coords  []uint32 // staging for encodes, kernelBlock rows
-	bases   []uint64 // the block's own keys
-	nbs     []uint64 // the block's neighbour rows: slot 2i is −e_i, 2i+1 is +e_i
-	first   []uint64 // torus: keys of cells [0, slab), as far as the chunk needs
-	last    []uint64 // torus: keys of cells [n−slab, n), as far as the chunk needs
+	// up[x] is |Δ| of the +e_1 edge of cell x of row upRow, valid for x in
+	// [upA, upB): the next row reads it back as its −e_1 edge.
+	up       []uint64
+	upRow    uint64
+	upA, upB uint64
+	edges    []uint64 // Σ Δ over the chunk's open (α, α+e_i) edges, per i
+	first    []uint64 // torus: keys of cells [0, slab), as far as the chunk needs
+	last     []uint64 // torus: keys of cells [n−slab, n), as far as the chunk needs
 }
 
 var windowPool = sync.Pool{New: func() any { return new(sweepWindow) }}
@@ -114,15 +131,23 @@ func openWindow(c curve.Curve, lo, hi uint64, torus bool) *sweepWindow {
 		w.strides[i] = 1 << (k * uint(i))
 	}
 	w.slab = w.strides[d-1]
+	w.seg = w.top + 1
+	if d == 1 {
+		w.seg = kernelBlock
+	}
 	size := 1
-	for uint64(size) < 2*w.slab+2*kernelBlock {
+	for uint64(size) < 2*w.slab+w.seg {
 		size <<= 1
 	}
 	w.ring = resized(w.ring, size)
 	w.mask = uint64(size - 1)
 	w.coords = resized(w.coords, kernelBlock*d)
-	w.bases = resized(w.bases, kernelBlock)
-	w.nbs = resized(w.nbs, kernelBlock*2*d)
+	if d > 1 {
+		w.up = resized(w.up, int(w.top+1))
+	}
+	w.edges = resized(w.edges, d)
+	clear(w.edges)
+	w.upRow = ^uint64(0)
 	w.front = 0
 	if lo > w.slab {
 		w.front = lo - w.slab
@@ -176,182 +201,187 @@ func (w *sweepWindow) advance(to uint64) {
 	}
 }
 
-// load readies the block of cells [blo, min(blo+kernelBlock, hi)): it
-// fills w.bases with their keys and w.nbs with their neighbour rows (noKey
-// where a neighbour is missing), and returns the block's length. Blocks
-// must be loaded in increasing order.
-func (w *sweepWindow) load(blo, hi uint64) int {
-	cnt := int(min(hi-blo, kernelBlock))
-	w.advance(min(blo+uint64(cnt)+w.slab, w.u.N()))
-	nd := 2 * len(w.strides)
-	for j := 0; j < cnt; j++ {
-		lin := blo + uint64(j)
-		w.bases[j] = w.ring[lin&w.mask]
-		row := w.nbs[j*nd : (j+1)*nd : (j+1)*nd]
-		if w.torus {
-			w.torusRow(lin, row)
-		} else {
-			w.openRow(lin, row)
+// pass sweeps the chunk [lo, hi) row segment by row segment: it adds every
+// cell to a and every open (α, α+e_i) edge to w.edges[i]. In an interior
+// row the cells other than the row ends take the straight loop, every other
+// cell the general path.
+func (w *sweepWindow) pass(lo, hi uint64, a *nnAcc) {
+	n := w.u.N()
+	for seg := lo; seg < hi; {
+		row := seg >> w.k
+		end := min(hi, (row+1)<<w.k, seg+w.seg)
+		w.advance(min(end+w.slab, n))
+		xa, xb := end, end // the straight loop's cells [xa, xb)
+		if rs := row << w.k; w.interior(row) {
+			xa = max(seg, rs+1)
+			if xb = max(xa, min(end, rs+w.top)); xa < xb {
+				w.run(row, xa-rs, xb-rs, a)
+			}
 		}
-	}
-	return cnt
-}
-
-// openRow fills one cell's open-grid neighbour row. The side is a power of
-// two, so coordinate i of the cell is a bit field of its Linear index.
-func (w *sweepWindow) openRow(lin uint64, row []uint64) {
-	ring, mask, top := w.ring, w.mask, w.top
-	for i, st := range w.strides {
-		c := lin >> (w.k * uint(i)) & top
-		row[2*i], row[2*i+1] = noKey, noKey
-		if c > 0 {
-			row[2*i] = ring[(lin-st)&mask]
+		for lin := seg; lin < xa; lin++ {
+			w.cell(lin, a)
 		}
-		if c < top {
-			row[2*i+1] = ring[(lin+st)&mask]
+		for lin := xb; lin < end; lin++ {
+			w.cell(lin, a)
 		}
+		seg = end
 	}
 }
 
-// torusRow fills one cell's periodic neighbour row. It follows the torus
-// engine's simple-graph convention: the −e_i neighbour is emitted only for
-// side > 2 (on a 2-cycle it coincides with the +e_i one). A wrap in a
-// dimension below d−1 moves at most s^(d−1)−1 cells and stays inside the
-// ring; a wrap in dimension d−1 reads the far slab.
-func (w *sweepWindow) torusRow(lin uint64, row []uint64) {
+// interior reports whether every coordinate i ≥ 1 of the row is strictly
+// inside the grid, so that the row's cells other than its two ends have
+// degree 2d and no wrap. The straight loop is written for d = 2 and 3;
+// other rows, and every row on the line, take the general path.
+func (w *sweepWindow) interior(row uint64) bool {
+	if d := len(w.strides); d < 2 || d > 3 {
+		return false
+	}
+	for i := 1; i < len(w.strides); i++ {
+		c := row >> (w.k * uint(i-1)) & w.top
+		if c == 0 || c == w.top {
+			return false
+		}
+	}
+	return true
+}
+
+// run adds the cells xa … xb−1 of an interior row, 1 ≤ xa < xb ≤ s−1:
+// every one has all 2d neighbours, none of them across a wrap. Rows are
+// contiguous in the ring, so each neighbour direction is one slice read at
+// x. The −e_0 distance is the previous cell's +e_0 one, and the −e_1
+// distance is the previous row's +e_1 one, kept in w.up; only where the
+// previous row did not fill w.up is it computed here.
+func (w *sweepWindow) run(row, xa, xb uint64, a *nnAcc) {
+	s, mask := w.top+1, w.mask
+	rs := row << w.k
+	slice := func(lin uint64) []uint64 {
+		at := lin & mask
+		return w.ring[at : at+s : at+s]
+	}
+	cur, up, buf := slice(rs), slice(rs+s), w.up[:s:s]
+	if w.upRow+1 != row {
+		w.upA, w.upB = xb, xb
+	}
+	if xa < w.upA || w.upB < xb {
+		down := slice(rs - s)
+		for x := xa; x < xb; x++ {
+			if x < w.upA || x >= w.upB {
+				buf[x] = absDiff(cur[x], down[x])
+			}
+		}
+	}
+	w.upRow, w.upA, w.upB = row, xa, xb
+
+	var t, m u128
+	var e0, e1 uint64
+	prev := absDiff(cur[xa], cur[xa-1])
+	if len(w.strides) == 2 {
+		for x := xa; x < xb; x++ {
+			key := cur[x]
+			r := absDiff(cur[x+1], key)
+			u := absDiff(up[x], key)
+			dn := buf[x]
+			buf[x] = u
+			t.add(u128{lo: prev + r + u + dn})
+			m.add(u128{lo: max(prev, r, u, dn)})
+			e0 += r
+			e1 += u
+			prev = r
+		}
+	} else {
+		var e2 uint64
+		st := w.strides[2]
+		below, above := slice(rs-st), slice(rs+st)
+		for x := xa; x < xb; x++ {
+			key := cur[x]
+			r := absDiff(cur[x+1], key)
+			u := absDiff(up[x], key)
+			dn := buf[x]
+			buf[x] = u
+			lo, hi := absDiff(below[x], key), absDiff(above[x], key)
+			t.add(u128{lo: prev + r + u + dn + lo + hi})
+			m.add(u128{lo: max(prev, r, u, dn, lo, hi)})
+			e0 += r
+			e1 += u
+			e2 += hi
+			prev = r
+		}
+		w.edges[2] += e2
+	}
+	a.sum[len(a.sum)-1].add(t)
+	a.max.add(m)
+	w.edges[0] += e0
+	w.edges[1] += e1
+}
+
+// cell adds one cell by the general path, testing each neighbour slot: on
+// the open grid a slot past the boundary is empty; on the torus it wraps,
+// following the torus engine's simple-graph convention that the −e_i
+// neighbour exists only for side > 2 (on a 2-cycle it is the +e_i one). A
+// wrap in a dimension below d−1 moves at most s^(d−1)−1 cells and stays
+// inside the ring; a wrap in dimension d−1 reads the far slab.
+func (w *sweepWindow) cell(lin uint64, a *nnAcc) {
 	ring, mask, top := w.ring, w.mask, w.top
+	key := ring[lin&mask]
 	last := len(w.strides) - 1
+	var sum, mx uint64
+	deg := 0
+	add := func(nb uint64) uint64 {
+		dd := absDiff(key, nb)
+		sum += dd
+		mx = max(mx, dd)
+		deg++
+		return dd
+	}
 	for i, st := range w.strides {
 		c := lin >> (w.k * uint(i)) & top
 		wrap := top * st
-		row[2*i] = noKey
-		if top > 1 {
-			switch {
-			case c > 0:
-				row[2*i] = ring[(lin-st)&mask]
-			case i < last:
-				row[2*i] = ring[(lin+wrap)&mask]
-			default:
-				row[2*i] = w.last[lin]
-			}
+		switch {
+		case w.torus && top == 1:
+		case c > 0:
+			add(ring[(lin-st)&mask])
+		case !w.torus:
+		case i < last:
+			add(ring[(lin+wrap)&mask])
+		default:
+			add(w.last[lin])
 		}
 		switch {
 		case c < top:
-			row[2*i+1] = ring[(lin+st)&mask]
+			w.edges[i] += add(ring[(lin+st)&mask])
+		case !w.torus:
 		case i < last:
-			row[2*i+1] = ring[(lin-wrap)&mask]
+			add(ring[(lin-wrap)&mask])
 		default:
-			row[2*i+1] = w.first[lin-wrap]
+			add(w.first[lin-wrap])
 		}
 	}
+	a.addCell(sum, mx, deg)
 }
 
-// accumulate folds one neighbor key into a cell's (sum, max, degree)
-// aggregate.
-func accumulate(base, nb uint64, sum, max uint64, deg int) (uint64, uint64, int) {
-	if nb == noKey {
-		return sum, max, deg
-	}
-	dd := nb - base
-	if base > nb {
-		dd = base - nb
-	}
-	sum += dd
-	if dd > max {
-		max = dd
-	}
-	return sum, max, deg + 1
+// windowPass sweeps the chunk [lo, hi) of c by the row pass and returns its
+// NN totals; edges, when not nil, receives its open edge sums.
+func windowPass(c curve.Curve, lo, hi uint64, torus bool, edges []uint64) nnAcc {
+	w := openWindow(c, lo, hi, torus)
+	defer w.close()
+	a := newNNAcc(c.Universe().D())
+	w.pass(lo, hi, &a)
+	copy(edges, w.edges)
+	return a
 }
 
-// cellAggregate reduces one cell's neighbor-key row to its integer
-// (sum, max, degree) triple. The d = 2, 3 rows are unrolled: the reduction
-// runs once per cell of every exact sweep, and at ~20 surviving ops per cell
-// the loop bookkeeping itself is measurable.
-func cellAggregate(base uint64, row []uint64) (sum, max uint64, deg int) {
-	switch len(row) {
-	case 4:
-		sum, max, deg = accumulate(base, row[0], sum, max, deg)
-		sum, max, deg = accumulate(base, row[1], sum, max, deg)
-		sum, max, deg = accumulate(base, row[2], sum, max, deg)
-		sum, max, deg = accumulate(base, row[3], sum, max, deg)
-	case 6:
-		sum, max, deg = accumulate(base, row[0], sum, max, deg)
-		sum, max, deg = accumulate(base, row[1], sum, max, deg)
-		sum, max, deg = accumulate(base, row[2], sum, max, deg)
-		sum, max, deg = accumulate(base, row[3], sum, max, deg)
-		sum, max, deg = accumulate(base, row[4], sum, max, deg)
-		sum, max, deg = accumulate(base, row[5], sum, max, deg)
-	default:
-		for _, nb := range row {
-			sum, max, deg = accumulate(base, nb, sum, max, deg)
-		}
-	}
-	return sum, max, deg
+// nnKernelPartial is the row-pass chunk worker behind NNStretchResult, or
+// with torus behind NNStretchTorusResult.
+func nnKernelPartial(c curve.Curve, torus bool) func(lo, hi uint64) nnAcc {
+	return func(lo, hi uint64) nnAcc { return windowPass(c, lo, hi, torus, nil) }
 }
 
-// nnKernelPartial is the kernelized chunk worker behind NNStretchResult.
-// It reproduces the scalar partial's arithmetic exactly: per cell the
-// integer (sum, max, degree) over valid neighbors, folded through the shared
-// nnSum in Linear cell order.
-func nnKernelPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
-	nd := 2 * c.Universe().D()
-	return func(lo, hi uint64) nnAcc {
-		w := openWindow(c, lo, hi, false)
-		defer w.close()
-		var a nnSum
-		for blo := lo; blo < hi; blo += kernelBlock {
-			cnt := w.load(blo, hi)
-			for j := 0; j < cnt; j++ {
-				a.addCell(cellAggregate(w.bases[j], w.nbs[j*nd:(j+1)*nd:(j+1)*nd]))
-			}
-		}
-		return a.acc()
-	}
-}
-
-// nnTorusKernelPartial is the kernelized chunk worker behind
-// NNStretchTorusResult; like the scalar torus partial it skips degree-zero
-// cells.
-func nnTorusKernelPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
-	nd := 2 * c.Universe().D()
-	return func(lo, hi uint64) nnAcc {
-		w := openWindow(c, lo, hi, true)
-		defer w.close()
-		var a nnSum
-		for blo := lo; blo < hi; blo += kernelBlock {
-			cnt := w.load(blo, hi)
-			for j := 0; j < cnt; j++ {
-				sum, max, deg := cellAggregate(w.bases[j], w.nbs[j*nd:(j+1)*nd:(j+1)*nd])
-				if deg == 0 {
-					continue
-				}
-				a.addCell(sum, max, deg)
-			}
-		}
-		return a.acc()
-	}
-}
-
-// lambdasKernelPartial is the kernelized chunk worker behind Lambdas: only
-// the +e_i neighbor keys contribute (the unordered pair (α, α+e_i) is
-// charged to α).
+// lambdasKernelPartial is the row-pass chunk worker behind Lambdas (the
+// unordered pair (α, α+e_i) is charged to α).
 func lambdasKernelPartial(c curve.Curve) func(lo, hi uint64) []uint64 {
-	d := c.Universe().D()
 	return func(lo, hi uint64) []uint64 {
-		w := openWindow(c, lo, hi, false)
-		defer w.close()
-		sums := make([]uint64, d)
-		for blo := lo; blo < hi; blo += kernelBlock {
-			cnt := w.load(blo, hi)
-			for j := 0; j < cnt; j++ {
-				base := w.bases[j]
-				for i := 0; i < d; i++ {
-					if nb := w.nbs[j*2*d+2*i+1]; nb != noKey {
-						sums[i] += absDiff(base, nb)
-					}
-				}
-			}
-		}
+		sums := make([]uint64, c.Universe().D())
+		windowPass(c, lo, hi, false, sums)
 		return sums
 	}
 }

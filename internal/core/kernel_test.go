@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/big"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -115,21 +118,37 @@ func splitRanges(n uint64, w int) [][2]uint64 {
 	return out
 }
 
-// TestSweepWindowMatchesScalarPartial holds the window partials to the
-// scalar reference partials bit for bit, chunk by chunk: for every
-// registry curve with a batch encoder, d ∈ {1, 2, 3, 4} including side 2
-// (the torus 2-cycle), and worker counts whose chunk edges fall mid-row and
-// mid-slab. One case has a chunk longer than the ring, so the ring wraps.
+// TestSweepWindowMatchesScalarPartial holds the row-pass partials — NN,
+// torus NN and Λ — to the scalar reference partials, integer for integer,
+// chunk by chunk: for every registry curve with a batch encoder, d ∈ {1, 2,
+// 3, 4} including side 2 (every cell a boundary cell, and the torus
+// 2-cycle), and worker counts whose chunk edges fall mid-row and mid-slab,
+// so the row pass meets partial rows and an up-edge buffer filled by only
+// part of the row before. One d = 3 chunk is longer than its ring, so the
+// ring wraps; at d = 2, k = 9 a row is longer than an encode block.
 func TestSweepWindowMatchesScalarPartial(t *testing.T) {
-	wrapped := false
-	for _, tc := range []struct{ d, k int }{
-		{1, 1}, {1, 4}, {1, 9},
-		{2, 1}, {2, 3}, {2, 6},
-		{3, 1}, {3, 2}, {3, 4},
-		{4, 1}, {4, 2},
+	wrapped, interior := false, false
+	for _, tc := range []struct {
+		d, k    int
+		curves  []string // nil: every kernel curve
+		workers []int
+	}{
+		{1, 1, nil, nil}, {1, 4, nil, nil}, {1, 9, nil, nil},
+		{2, 1, nil, nil}, {2, 3, nil, nil}, {2, 6, nil, nil},
+		{3, 1, nil, nil}, {3, 2, nil, nil}, {3, 4, nil, nil},
+		{4, 1, nil, nil}, {4, 2, nil, nil},
+		{2, 9, []string{"z", "hilbert"}, []int{3}},
 	} {
 		u := grid.MustNew(tc.d, tc.k)
-		for _, name := range curve.Names() {
+		names := tc.curves
+		if names == nil {
+			names = curve.Names()
+		}
+		splits := tc.workers
+		if splits == nil {
+			splits = []int{1, 2, 3, 5, 7}
+		}
+		for _, name := range names {
 			c, err := curve.ByName(name, u, 11)
 			if err != nil {
 				t.Fatalf("d=%d k=%d %s: %v", tc.d, tc.k, name, err)
@@ -137,22 +156,25 @@ func TestSweepWindowMatchesScalarPartial(t *testing.T) {
 			if !curve.HasKernel(c) {
 				continue
 			}
-			nk, ns := nnKernelPartial(c), nnScalarPartial(c)
-			tk, ts := nnTorusKernelPartial(c), nnTorusScalarPartial(c)
+			nk, ns := nnKernelPartial(c, false), nnScalarPartial(c)
+			tk, ts := nnKernelPartial(c, true), nnTorusScalarPartial(c)
 			lk, ls := lambdasKernelPartial(c), lambdasScalarPartial(c)
-			for _, workers := range []int{1, 2, 3, 5, 7} {
+			for _, workers := range splits {
 				for _, r := range splitRanges(u.N(), workers) {
 					lo, hi := r[0], r[1]
 					if lo == hi {
 						continue
 					}
 					w := openWindow(c, lo, hi, false)
-					wrapped = wrapped || hi-lo > uint64(len(w.ring))
+					wrapped = wrapped || tc.d == 3 && hi-lo > uint64(len(w.ring))
+					for row := lo >> w.k; row < hi>>w.k; row++ {
+						interior = interior || w.interior(row)
+					}
 					w.close()
-					if got, want := nk(lo, hi), ns(lo, hi); got != want {
+					if got, want := nk(lo, hi), ns(lo, hi); !reflect.DeepEqual(got, want) {
 						t.Errorf("d=%d k=%d %s [%d,%d): window NN %+v, scalar %+v", tc.d, tc.k, name, lo, hi, got, want)
 					}
-					if got, want := tk(lo, hi), ts(lo, hi); got != want {
+					if got, want := tk(lo, hi), ts(lo, hi); !reflect.DeepEqual(got, want) {
 						t.Errorf("d=%d k=%d %s [%d,%d): window torus %+v, scalar %+v", tc.d, tc.k, name, lo, hi, got, want)
 					}
 					gl, wl := lk(lo, hi), ls(lo, hi)
@@ -166,7 +188,86 @@ func TestSweepWindowMatchesScalarPartial(t *testing.T) {
 		}
 	}
 	if !wrapped {
-		t.Fatal("no chunk was longer than its ring: the wrap-around is untested")
+		t.Fatal("no d=3 chunk was longer than its ring: the wrap-around is untested")
+	}
+	if !interior {
+		t.Fatal("no chunk had an interior row: the straight loop is untested")
+	}
+}
+
+// TestNNAccCarries feeds the 128-bit accumulators cells whose sums cross
+// 2^64 and holds the totals, and both roundings, to big.Int arithmetic.
+func TestNNAccCarries(t *testing.T) {
+	const d = 2
+	var parts []nnAcc
+	want := make([]*big.Int, d+1)
+	for g := range want {
+		want[g] = new(big.Int)
+	}
+	wantMax := new(big.Int)
+	for chunk := 0; chunk < 3; chunk++ {
+		a := newNNAcc(d)
+		for i := 0; i < 5; i++ {
+			sum, max := ^uint64(0)-uint64(i), uint64(1)<<63+uint64(i)
+			deg := d + (chunk+i)%(d+1)
+			a.addCell(sum, max, deg)
+			want[deg-d].Add(want[deg-d], new(big.Int).SetUint64(sum))
+			wantMax.Add(wantMax, new(big.Int).SetUint64(max))
+		}
+		parts = append(parts, a)
+	}
+	tot := addNN(parts, d)
+	for g, w := range want {
+		if got := tot.sum[g].big(); got.Cmp(w) != 0 {
+			t.Errorf("T_%d = %v, want %v", g+d, got, w)
+		}
+	}
+	if got := tot.max.big(); got.Cmp(wantMax) != 0 {
+		t.Errorf("Σ δmax = %v, want %v", got, wantMax)
+	}
+	n := uint64(1) << 20
+	wantAvg := new(big.Rat)
+	for g, w := range want {
+		wantAvg.Add(wantAvg, new(big.Rat).SetFrac(w, big.NewInt(int64(uint64(g+d)*n))))
+	}
+	davg, dmax := exactNN(parts, d, n)
+	if davg.Cmp(wantAvg) != 0 || dmax.Cmp(new(big.Rat).SetFrac(wantMax, new(big.Int).SetUint64(n))) != 0 {
+		t.Fatalf("exactNN = (%v, %v), want (%v, %v/%d)", davg, dmax, wantAvg, wantMax, n)
+	}
+	a, _ := davg.Float64()
+	m, _ := dmax.Float64()
+	if got := reduceNN(parts, d, n); got != (NN{a, m}) {
+		t.Fatalf("reduceNN = %+v, exact rounding (%v, %v)", got, a, m)
+	}
+}
+
+// TestReduceNNRoundsOnce holds reduceNN's float division, taken while the
+// sums stay below 2^53, to the correctly rounded exact rationals, on both
+// sides of that limit and for every d up to 6.
+func TestReduceNNRoundsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fast := 0
+	for d := 1; d <= 6; d++ {
+		for trial := 0; trial < 200; trial++ {
+			a := newNNAcc(d)
+			scale := int64(1) << (10 + rng.Intn(45))
+			for i := 0; i < 1+rng.Intn(8); i++ {
+				a.addCell(uint64(rng.Int63n(scale)), uint64(rng.Int63n(scale)), d+rng.Intn(d+1))
+			}
+			if d <= 2 && scale < 1<<40 { // n·L·Davg < 8·2^40·24
+				fast++
+			}
+			n := uint64(1) << (d * (1 + rng.Intn(62/d)))
+			davg, dmax := exactNN([]nnAcc{a}, d, n)
+			wa, _ := davg.Float64()
+			wm, _ := dmax.Float64()
+			if got := reduceNN([]nnAcc{a}, d, n); got != (NN{wa, wm}) {
+				t.Fatalf("d=%d %+v n=%d: reduceNN %+v, exact rounding (%v, %v)", d, a, n, got, wa, wm)
+			}
+		}
+	}
+	if fast == 0 {
+		t.Fatal("no trial stayed below 2^53: the float division is untested")
 	}
 }
 

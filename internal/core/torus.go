@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/curve"
-	"repro/internal/grid"
 	"repro/internal/parallel"
 )
 
@@ -35,40 +34,15 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 	}
 	partial := nnTorusScalarPartial(c)
 	if curve.HasKernel(c) {
-		partial = nnTorusKernelPartial(c)
+		partial = nnKernelPartial(c, true)
 	}
-	return reduceNN(parallel.MapRanges(n, workers, partial), n)
+	return reduceNN(parallel.MapRanges(n, workers, partial), u.D(), n)
 }
 
 // nnTorusScalarPartial is the reference chunk worker behind
-// NNStretchTorusResult, one Index call per cell and neighbor.
+// NNStretchTorusResult. NeighborsTorusInto applies the simple-graph
+// convention: on a 2-cycle the +1 and −1 neighbors coincide and are counted
+// once, on a 1-cycle the cell has no neighbors.
 func nnTorusScalarPartial(c curve.Curve) func(lo, hi uint64) nnAcc {
-	u := c.Universe()
-	return func(lo, hi uint64) nnAcc {
-		p := u.NewPoint()
-		q := u.NewPoint()
-		var a nnSum
-		for idx := lo; idx < hi; idx++ {
-			u.FromLinear(idx, p)
-			base := c.Index(p)
-			var sum, max uint64
-			deg := 0
-			// NeighborsTorusInto applies the simple-graph convention: on a
-			// 2-cycle the +1 and −1 neighbors coincide and are counted once,
-			// on a 1-cycle the cell has no neighbors.
-			u.NeighborsTorusInto(p, q, func(_ int, nb grid.Point) {
-				dd := absDiff(base, c.Index(nb))
-				sum += dd
-				if dd > max {
-					max = dd
-				}
-				deg++
-			})
-			if deg == 0 {
-				continue
-			}
-			a.addCell(sum, max, deg)
-		}
-		return a.acc()
-	}
+	return scalarPartial(c, c.Universe().NeighborsTorusInto)
 }

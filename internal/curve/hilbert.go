@@ -1,6 +1,8 @@
 package curve
 
 import (
+	mbits "math/bits"
+
 	"repro/internal/bits"
 	"repro/internal/grid"
 )
@@ -68,6 +70,15 @@ func (h *Hilbert) Point(idx uint64, dst grid.Point) {
 // followed by the per-level state-machine walk, replacing the scalar path's
 // bit-serial rotate/reflect loop. Falls back to the scalar method when the
 // state table is unavailable.
+//
+// A key shares the walk of the previous one down to the highest level at
+// which their Morton keys differ: the walk restarts there, from the state it
+// entered that level with, and the digits above are the previous key's.
+// Cells in row-major order change about two levels per key, not k. A
+// restart in the upper half of the levels walks from the top instead, so
+// random input has one walk length and the loop exit stays predicted; a walk
+// from the top starts from state 0, not from the previous walk, so
+// consecutive walks, and the next key's spread, overlap in the pipeline.
 func (h *Hilbert) IndexBatch(coords []uint32, dst []uint64) {
 	d, k := h.u.D(), h.u.K()
 	tab := h.tab
@@ -77,19 +88,36 @@ func (h *Hilbert) IndexBatch(coords []uint32, dst []uint64) {
 		}
 		return
 	}
-	switch {
-	case d == 2:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave2LUT(coords[2*i], coords[2*i+1]), k)
+	lut2, lut3 := d == 2, d == 3 && k <= 20
+	ud, kd := uint(d), uint(d*k)
+	dmask := uint32(1)<<ud - 1
+	var rows [bits.MaxKeyBits + 1]uint32 // rows[sh]: the state row entering the level at bits [sh−d, sh)
+	prevM, prevKey := ^uint64(0), uint64(0)
+	for i := range dst {
+		var m uint64
+		switch {
+		case lut2:
+			m = bits.Interleave2LUT(coords[2*i], coords[2*i+1])
+		case lut3:
+			m = bits.Interleave3LUT(coords[3*i], coords[3*i+1], coords[3*i+2])
+		default:
+			m = bits.Interleave(grid.Point(coords[i*d:(i+1)*d:(i+1)*d]), k)
 		}
-	case d == 3 && k <= 20:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave3LUT(coords[3*i], coords[3*i+1], coords[3*i+2]), k)
+		top := uint(tab.levels[mbits.Len64(m^prevM)]) * ud // bits to walk
+		if top > kd/2 {
+			top = kd
 		}
-	default:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave(grid.Point(coords[i*d:(i+1)*d:(i+1)*d]), k), k)
+		row := rows[top]
+		var low uint64
+		for sh := top; sh > 0; {
+			sh -= ud
+			e := tab.enc[row|uint32(m>>sh)&dmask]
+			low = low<<ud | uint64(e&dmask)
+			row = e &^ dmask
+			rows[sh] = row
 		}
+		prevM, prevKey = m, prevKey>>top<<top|low
+		dst[i] = prevKey
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // compact Hilbert indices: instead of Skilling's bit-serial rotate/reflect
 // loop, encode one d-bit level per step through a precomputed state machine.
 // A state is the signed bit-permutation (axis relabeling + reflections) the
-// recursion applies inside the current orthant; enc[state][tuple] yields the
-// level's curve digit and the child state in one lookup.
+// recursion applies inside the current orthant; enc[state<<d | tuple] yields
+// the level's curve digit and the child state in one lookup.
 //
 // Rather than hard-coding the tables for the specific curve variant, the
 // machine is derived empirically from the package's own scalar
@@ -38,39 +38,27 @@ const maxHilbertStates = 1 << 12
 // verification sweep per k.
 const maxHilbertVerifyCells = 1 << 16
 
+// The tables are flat: the row of a state starts at state<<d, and an entry
+// holds the next state in the same form, so e &^ dmask is the next row.
+// Keys are k levels of d-bit groups, most significant level first; Hilbert
+// encodes in IndexBatch.
 type hilbertTable struct {
-	d   int
-	enc [][]uint32 // enc[state][tuple] = nextState<<d | digit
-	dec [][]uint32 // dec[state][digit] = nextState<<d | tuple
-}
-
-// encode maps a Morton key (k levels of d-bit groups, most significant
-// level first) to the Hilbert key.
-func (ht *hilbertTable) encode(mkey uint64, k int) uint64 {
-	d := uint(ht.d)
-	dmask := uint64(1)<<d - 1
-	var key uint64
-	state := uint32(0)
-	for level := k - 1; level >= 0; level-- {
-		tuple := (mkey >> (uint(level) * d)) & dmask
-		e := ht.enc[state][tuple]
-		key = key<<d | uint64(e)&dmask
-		state = e >> d
-	}
-	return key
+	d      int
+	enc    []uint32  // enc[state<<d | tuple] = nextState<<d | digit
+	dec    []uint32  // dec[state<<d | digit] = nextState<<d | tuple
+	levels [65]uint8 // levels[b] = ⌈b/d⌉: the levels a b-bit key difference spans
 }
 
 // decode maps a Hilbert key back to the Morton key of its cell.
 func (ht *hilbertTable) decode(key uint64, k int) uint64 {
 	d := uint(ht.d)
-	dmask := uint64(1)<<d - 1
+	dmask := uint32(1)<<d - 1
 	var mkey uint64
-	state := uint32(0)
+	row := uint32(0)
 	for level := k - 1; level >= 0; level-- {
-		digit := (key >> (uint(level) * d)) & dmask
-		e := ht.dec[state][digit]
-		mkey |= (uint64(e) & dmask) << (uint(level) * d)
-		state = e >> d
+		e := ht.dec[row|uint32(key>>(uint(level)*d))&dmask]
+		mkey |= uint64(e&dmask) << (uint(level) * d)
+		row = e &^ dmask
 	}
 	return mkey
 }
@@ -223,7 +211,7 @@ func buildHilbertTable(d int) *hilbertTable {
 	}
 	states := []signedPerm{identity}
 	index := map[string]uint32{identity.key(): 0}
-	var enc, dec [][]uint32
+	var enc, dec []uint32
 	for si := 0; si < len(states); si++ {
 		s := states[si]
 		encRow := make([]uint32, size)
@@ -245,30 +233,38 @@ func buildHilbertTable(d int) *hilbertTable {
 			encRow[T] = ni<<uint(d) | digit
 			decRow[digit] = ni<<uint(d) | T
 		}
-		enc = append(enc, encRow)
-		dec = append(dec, decRow)
+		enc = append(enc, encRow...)
+		dec = append(dec, decRow...)
 	}
 
 	// Verify the machine against the scalar implementation by full
 	// enumeration at every small k — in particular k=3, the first depth at
 	// which the composition rule (not just the probes) carries the result.
 	tab := &hilbertTable{d: d, enc: enc, dec: dec}
+	for b := range tab.levels {
+		tab.levels[b] = uint8((b + d - 1) / d)
+	}
 	for k := 1; d*k <= bits.MaxKeyBits; k++ {
 		u := grid.MustNew(d, k)
 		if u.N() > maxHilbertVerifyCells {
 			break
 		}
+		// One batch over every cell, so the walk reuse is verified too.
 		h := &Hilbert{u: u}
-		q := make(grid.Point, d)
+		coords := make([]uint32, 0, int(u.N())*d)
 		for lin := uint64(0); lin < u.N(); lin++ {
 			u.FromLinear(lin, p)
-			mkey := bits.Interleave(p, k)
-			want := h.Index(p)
-			if tab.encode(mkey, k) != want {
+			coords = append(coords, p...)
+		}
+		keys := make([]uint64, u.N())
+		(&Hilbert{u: u, tab: tab}).IndexBatch(coords, keys)
+		q := make(grid.Point, d)
+		for lin, key := range keys {
+			if key != h.Index(grid.Point(coords[lin*d:(lin+1)*d])) {
 				return nil
 			}
-			h.Point(want, q)
-			if tab.decode(want, k) != bits.Interleave(q, k) {
+			h.Point(key, q)
+			if tab.decode(key, k) != bits.Interleave(q, k) {
 				return nil
 			}
 		}
