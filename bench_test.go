@@ -80,20 +80,23 @@ func BenchmarkDAvgScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAllPairs measures the exact O(n²) all-pairs stretch
-// (Propositions 3-4).
+// BenchmarkAllPairs measures the exact all-pairs table behind
+// Propositions 3-4 and the all-pairs extensions, built on one worker, one
+// row per curve at the experiment harness's size n = 2^12 and d = 1, 2, 3.
 func BenchmarkAllPairs(b *testing.B) {
-	u := grid.MustNew(2, 5)
-	for _, c := range benchCurves(b, u) {
-		b.Run(c.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v, err := core.AllPairsStretch(c, core.Manhattan, 0)
-				if err != nil {
-					b.Fatal(err)
+	for _, dk := range [][2]int{{1, 12}, {2, 6}, {3, 4}} {
+		u := grid.MustNew(dk[0], dk[1])
+		for _, c := range benchCurves(b, u) {
+			b.Run(fmt.Sprintf("d=%d/%s", dk[0], c.Name()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tab, err := core.NewPairTable(c, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkF = tab.Avg(core.Manhattan)
 				}
-				sinkF = v
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -99,13 +99,16 @@ func main() {
 	}
 
 	if *allPairs {
+		var tab *core.PairTable
+		if u.N() <= core.MaxExactPairsN && *samples == 0 {
+			var err error
+			if tab, err = core.NewPairTable(c, *workers); err != nil {
+				fail(err)
+			}
+		}
 		for _, m := range []core.Metric{core.Manhattan, core.Euclidean} {
-			if u.N() <= core.MaxExactPairsN && *samples == 0 {
-				v, err := core.AllPairsStretch(c, m, *workers)
-				if err != nil {
-					fail(err)
-				}
-				fmt.Printf("str_avg,%-9s = %.6g (exact)\n", m, v)
+			if tab != nil {
+				fmt.Printf("str_avg,%-9s = %.6g (exact)\n", m, tab.Avg(m))
 			} else {
 				n := *samples
 				if n == 0 {

@@ -78,18 +78,19 @@ func ExtPNorm(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, c := range cs {
+			tab, err := core.NewPairTable(c, cfg.Workers)
+			if err != nil {
+				return nil, err
+			}
 			var vals []float64
-			for _, p := range []float64{1, 2, 4} {
-				v, err := core.PNormStretch(c, core.Manhattan, p, cfg.Workers)
+			for _, p := range []int{1, 2, 4} {
+				v, err := tab.PNorm(core.Manhattan, p)
 				if err != nil {
 					return nil, err
 				}
 				vals = append(vals, v)
 			}
-			maxPair, err := core.MaxPairStretch(c, core.Manhattan, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
+			maxPair := tab.MaxPair(core.Manhattan)
 			mono := vals[0] <= vals[1]+1e-9 && vals[1] <= vals[2]+1e-9 && vals[2] <= maxPair+1e-9
 			t.AddRow(fi(d), fi(k), fu(u.N()), c.Name(), ff(vals[0]), ff(vals[1]), ff(vals[2]), ff(maxPair), yes(mono))
 			if !mono {
@@ -125,10 +126,11 @@ func ExtConverse(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, c := range cs {
-			v, err := core.ConverseStretch(c, cfg.Workers)
+			tab, err := core.NewPairTable(c, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
+			v := tab.Converse()
 			values[c.Name()] = v
 			davg := core.DAvg(c, cfg.Workers)
 			t.AddRow(fi(d), fi(k), fu(u.N()), c.Name(), ff(v), fr(davg/lb))
@@ -165,15 +167,16 @@ func ExtDilation(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := core.UnitStepDilation(c, cfg.Workers)
+			tab, err := core.NewPairTable(c, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
+			v := tab.Dilation()
 			boundCell := "-"
 			ok := true
 			if name == "hilbert" && d == 2 {
 				boundCell = "9"
-				ok = v <= 9+1e-9
+				ok = v <= 9 // a rational rounded once
 			}
 			t.AddRow(fi(d), fi(k), fu(u.N()), name, ff(v), boundCell, yes(ok))
 			if !ok {

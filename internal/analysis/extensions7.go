@@ -19,7 +19,8 @@ func ExtConform(cfg Config) (*Table, error) {
 		Caption: "Check instances per curve and layer across d ∈ {1,2,3}. Differential checks compare the " +
 			"sequential oracle, parallel engine, torus engine, table shadow, Monte-Carlo samplers and closed " +
 			"forms; metamorphic checks assert isometry invariance, refinement monotonicity and the paper's bounds. " +
-			"A green experiment means all engines agree within documented ulp tolerances.",
+			"A green experiment means the exact engines agree exactly (Davg/Dmax by equality) and the samplers " +
+			"within their confidence bounds.",
 		Columns: []string{"curve", "layer", "passed", "failed", "skipped"},
 	}
 	ccfg := conformance.Full()

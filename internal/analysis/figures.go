@@ -254,10 +254,11 @@ func Lemma2(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			got, err := core.SAPrime(c, cfg.Workers)
+			tab, err := core.NewPairTable(c, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
+			got := tab.SAPrime()
 			ok := want.IsUint64() && want.Uint64() == got
 			t.AddRow(fi(d), fi(k), u2(u.N()), name, u2(got), want.String(), yes(ok))
 			if !ok {

@@ -9,6 +9,7 @@ package analysis
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/core"
@@ -70,23 +71,27 @@ func TestGoldenAllPairsReferenceValues(t *testing.T) {
 	u := grid.MustNew(2, 4) // 16×16, n=256
 	cases := []struct {
 		name string
-		strM float64
+		strM string // exact str_avg,M
 	}{
-		{"z", 8.23302189342},
-		{"simple", 8.05882352941},
-		{"hilbert", 8.4125407071},
+		{"z", "1955895426951857/237567135405600"},   // 8.23302189342…
+		{"simple", "137/17"},                        // 8.05882352941…
+		{"hilbert", "53294485260505/6335123610816"}, // 8.41254070710…
 	}
 	for _, tc := range cases {
 		c, err := curve.ByName(tc.name, u, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.AllPairsStretch(c, core.Manhattan, 0)
+		tab, err := core.NewPairTable(c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-tc.strM) > 1e-6 {
-			t.Errorf("golden str_M(%s) = %.12g, want %.12g", tc.name, got, tc.strM)
+		got, err := tab.PNormRat(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := new(big.Rat).SetString(tc.strM); !ok || got.Cmp(want) != 0 {
+			t.Errorf("golden str_M(%s) = %v, want %s", tc.name, got, tc.strM)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -52,9 +53,11 @@ func Prop2(cfg Config) (*Table, error) {
 		for _, k := range kSweep(d, cfg.MaxExactN) {
 			u := grid.MustNew(d, k)
 			s := curve.NewSimple(u)
-			max := core.DMax(s, cfg.Workers)
+			_, maxRat := core.NNStretchExact(s, cfg.Workers)
+			max, _ := maxRat.Float64()
 			want := bounds.SimpleDMaxExact(d, k)
-			ok := abs(max-want) < 1e-9*(1+want)
+			// n^(1−1/d) = n/s, an integer.
+			ok := maxRat.Cmp(new(big.Rat).SetFrac64(int64(u.N()), int64(u.Side()))) == 0
 			t.AddRow(fi(d), fi(k), fu(u.N()), ff(max), ff(want), yes(ok))
 			if !ok {
 				return t, fmt.Errorf("Dmax(S) on %v: %v, want %v", u, max, want)
@@ -65,7 +68,7 @@ func Prop2(cfg Config) (*Table, error) {
 }
 
 // Prop3 checks the all-pairs stretch lower bounds for every curve, under
-// both metrics, by exact O(n²) computation.
+// both metrics, on the exact all-pairs table.
 func Prop3(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "prop3",
@@ -82,20 +85,23 @@ func Prop3(cfg Config) (*Table, error) {
 		}
 		lbM := bounds.AllPairsManhattanLB(d, k)
 		lbE := bounds.AllPairsEuclideanLB(d, k)
+		// LB_M = (n+1)/(3d(s−1)) is rational, so str_M meets it exactly.
+		lbMRat := big.NewRat(int64(u.N()+1), int64(3*d*(int(u.Side())-1)))
 		cs, err := sweepCurves(cfg, u)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range cs {
-			strM, err := core.AllPairsStretch(c, core.Manhattan, cfg.Workers)
+			tab, err := core.NewPairTable(c, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
-			strE, err := core.AllPairsStretch(c, core.Euclidean, cfg.Workers)
+			strMRat, err := tab.PNormRat(1)
 			if err != nil {
 				return nil, err
 			}
-			ok := strM >= lbM-1e-9 && strE >= lbE-1e-9
+			strM, strE := tab.Avg(core.Manhattan), tab.Avg(core.Euclidean)
+			ok := strMRat.Cmp(lbMRat) >= 0 && strE >= lbE-1e-9
 			t.AddRow(fi(d), fi(k), fu(u.N()), c.Name(),
 				ff(strM), ff(lbM), fr(strM/lbM), ff(strE), ff(lbE), fr(strE/lbE), yes(ok))
 			if !ok {
@@ -124,25 +130,23 @@ func Prop4(cfg Config) (*Table, error) {
 			continue
 		}
 		s := curve.NewSimple(u)
-		strM, err := core.AllPairsStretch(s, core.Manhattan, cfg.Workers)
+		tab, err := core.NewPairTable(s, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		strE, err := core.AllPairsStretch(s, core.Euclidean, cfg.Workers)
+		strMRat, err := tab.PNormRat(1)
 		if err != nil {
 			return nil, err
 		}
-		maxM, err := core.MaxPairStretch(s, core.Manhattan, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		maxE, err := core.MaxPairStretch(s, core.Euclidean, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
+		strM, strE := tab.Avg(core.Manhattan), tab.Avg(core.Euclidean)
+		maxM, maxE := tab.MaxPair(core.Manhattan), tab.MaxPair(core.Euclidean)
 		ubM := bounds.SimpleAllPairsManhattanUB(d, k)
 		ubE := bounds.SimpleAllPairsEuclideanUB(d, k)
-		ok := strM <= ubM+1e-9 && strE <= ubE+1e-9 && maxM <= ubM+1e-9 && maxE <= ubE+1e-9
+		// UB_M = n^(1−1/d) = n/s is an integer: str_M meets it exactly, and
+		// max-pair_M, one integer quotient rounded once, without slack too.
+		// The Euclidean side is irrational.
+		ubMRat := big.NewRat(int64(u.N()/uint64(u.Side())), 1)
+		ok := strMRat.Cmp(ubMRat) <= 0 && strE <= ubE+1e-9 && maxM <= ubM && maxE <= ubE+1e-9
 		t.AddRow(fi(d), fi(k), fu(u.N()),
 			ff(strM), ff(ubM), ff(maxM), ff(strE), ff(ubE), ff(maxE), yes(ok))
 		if !ok {

@@ -122,9 +122,10 @@ func Theorem3(cfg Config) (*Table, error) {
 		for _, k := range kSweep(d, cfg.MaxExactN) {
 			u := grid.MustNew(d, k)
 			s := curve.NewSimple(u)
-			davg := core.DAvg(s, cfg.Workers)
+			davgRat, _ := core.NNStretchExact(s, cfg.Workers)
+			davg, _ := davgRat.Float64()
 			closed := bounds.SimpleDAvgExact(d, k)
-			exact := abs(davg-closed) < 1e-9*(1+closed)
+			exact := davgRat.Cmp(bounds.SimpleDAvgRat(d, k)) == 0
 			asym := bounds.NNAsymptote(d, k)
 			lb := bounds.NNAvgLowerBound(d, k)
 			t.AddRow(fi(d), fi(k), fu(u.N()), ff(davg), ff(closed), yes(exact),

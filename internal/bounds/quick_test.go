@@ -97,12 +97,12 @@ func TestQuickLemma2OverShapesAndSeeds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := core.SAPrime(c, 1)
+		tab, err := core.NewPairTable(c, 1)
 		if err != nil {
 			return false
 		}
 		want := bounds.SAPrimeIdentity(u.N())
-		return want.IsUint64() && want.Uint64() == got
+		return want.IsUint64() && want.Uint64() == tab.SAPrime()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -285,16 +285,17 @@ func checkStratifiedNN(cx *caseCtx) (Status, string) {
 }
 
 // checkSampledAllPairs verifies the sampled all-pairs estimator against the
-// exact O(n²) sweep within its confidence bound.
+// exact all-pairs table within its confidence bound.
 func checkSampledAllPairs(cx *caseCtx) (Status, string) {
 	n := cx.u.N()
 	if n > cx.cfg.MaxPairsN {
 		return Skip, fmt.Sprintf("n=%d above all-pairs cap %d", n, cx.cfg.MaxPairsN)
 	}
-	exact, err := core.AllPairsStretch(cx.c, core.Manhattan, 0)
+	tab, err := cx.pairs()
 	if err != nil {
 		return Fail, err.Error()
 	}
+	exact := tab.Avg(core.Manhattan)
 	est, err := core.SampledAllPairsStretch(cx.c, core.Manhattan, cx.cfg.Samples, cx.cfg.Seed+3)
 	if err != nil {
 		return Fail, err.Error()
@@ -358,11 +359,11 @@ func checkSAPrimeIdentity(cx *caseCtx) (Status, string) {
 	if n > cx.cfg.MaxPairsN {
 		return Skip, fmt.Sprintf("n=%d above all-pairs cap %d", n, cx.cfg.MaxPairsN)
 	}
-	got, err := core.SAPrime(cx.c, 0)
+	tab, err := cx.pairs()
 	if err != nil {
 		return Fail, err.Error()
 	}
-	want := core.SAPrimeIdentity(n)
+	got, want := tab.SAPrime(), core.SAPrimeIdentity(n)
 	if !want.IsUint64() || want.Uint64() != got {
 		return Fail, fmt.Sprintf("S_A' measured %d, Lemma 2 identity %v", got, want)
 	}
@@ -454,11 +455,15 @@ func checkDMaxGeDAvg(cx *caseCtx) (Status, string) {
 }
 
 // checkAllPairsLowerBound verifies Proposition 3's all-pairs lower bounds
-// under both metrics on the exact O(n²) sweep.
+// under both metrics on the exact all-pairs table.
 func checkAllPairsLowerBound(cx *caseCtx) (Status, string) {
 	n := cx.u.N()
 	if n > cx.cfg.MaxPairsN {
 		return Skip, fmt.Sprintf("n=%d above all-pairs cap %d", n, cx.cfg.MaxPairsN)
+	}
+	tab, err := cx.pairs()
+	if err != nil {
+		return Fail, err.Error()
 	}
 	d, k := cx.u.D(), cx.u.K()
 	for _, mc := range []struct {
@@ -468,11 +473,7 @@ func checkAllPairsLowerBound(cx *caseCtx) (Status, string) {
 		{core.Manhattan, bounds.AllPairsManhattanLB(d, k)},
 		{core.Euclidean, bounds.AllPairsEuclideanLB(d, k)},
 	} {
-		got, err := core.AllPairsStretch(cx.c, mc.m, 0)
-		if err != nil {
-			return Fail, err.Error()
-		}
-		if got < mc.lb-relEps*(1+mc.lb) {
+		if got := tab.Avg(mc.m); got < mc.lb-relEps*(1+mc.lb) {
 			return Fail, fmt.Sprintf("str_avg,%s %.9g violates Proposition 3 bound %.9g", mc.m, got, mc.lb)
 		}
 	}
@@ -494,25 +495,17 @@ func checkSimpleAllPairsUpperBound(cx *caseCtx) (Status, string) {
 	d, k := cx.u.D(), cx.u.K()
 	ubM := bounds.SimpleAllPairsManhattanUB(d, k)
 	ubE := bounds.SimpleAllPairsEuclideanUB(d, k)
-	avgM, err := core.AllPairsStretch(cx.c, core.Manhattan, 0)
+	tab, err := cx.pairs()
 	if err != nil {
 		return Fail, err.Error()
 	}
-	if avgM > ubM+relEps*(1+ubM) {
+	if avgM := tab.Avg(core.Manhattan); avgM > ubM+relEps*(1+ubM) {
 		return Fail, fmt.Sprintf("str_avg,M %.9g above Proposition 4 bound %.9g", avgM, ubM)
 	}
-	avgE, err := core.AllPairsStretch(cx.c, core.Euclidean, 0)
-	if err != nil {
-		return Fail, err.Error()
-	}
-	if avgE > ubE+relEps*(1+ubE) {
+	if avgE := tab.Avg(core.Euclidean); avgE > ubE+relEps*(1+ubE) {
 		return Fail, fmt.Sprintf("str_avg,E %.9g above Proposition 4 bound %.9g", avgE, ubE)
 	}
-	maxM, err := core.MaxPairStretch(cx.c, core.Manhattan, 0)
-	if err != nil {
-		return Fail, err.Error()
-	}
-	if maxM > ubM+relEps*(1+ubM) {
+	if maxM := tab.MaxPair(core.Manhattan); maxM > ubM+relEps*(1+ubM) {
 		return Fail, fmt.Sprintf("max pair stretch %.9g above Lemma 7 per-pair bound %.9g", maxM, ubM)
 	}
 	return Pass, ""

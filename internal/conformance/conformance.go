@@ -193,6 +193,10 @@ type caseCtx struct {
 	u         *grid.Universe
 	nn        core.NN
 	haveExact bool
+	// tab is the exact all-pairs table, built on first use (see pairs).
+	tab     *core.PairTable
+	tabErr  error
+	haveTab bool
 	// prevDAvg is Davg of the same curve name at (d, k−1), for the
 	// refinement-monotonicity check; prevOK reports whether it is set.
 	prevDAvg float64
@@ -207,6 +211,15 @@ func (cx *caseCtx) exact() core.NN {
 		cx.haveExact = true
 	}
 	return cx.nn
+}
+
+// pairs returns the cached exact all-pairs table, building it on first use.
+func (cx *caseCtx) pairs() (*core.PairTable, error) {
+	if !cx.haveTab {
+		cx.tab, cx.tabErr = core.NewPairTable(cx.c, 0)
+		cx.haveTab = true
+	}
+	return cx.tab, cx.tabErr
 }
 
 // Check is one named conformance check.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/bounds"
@@ -10,64 +11,197 @@ import (
 	"repro/internal/grid"
 )
 
-// naiveAllPairs is a trust-nothing O(n²) reference using only the public
-// grid/curve primitives.
-func naiveAllPairs(c curve.Curve, m Metric) float64 {
+// naivePairs is the all-pairs reference: a plain O(n²) loop over unordered
+// cell pairs in exact rationals that shares no code with the table. Each
+// cell comes from FromLinear and each Δπ from curve.Dist.
+type naivePairs struct {
+	mean    [5]*big.Rat // mean over pairs of (Δπ/Δ)^p under Manhattan, p = 1…4
+	maxM    *big.Rat    // max Δπ/Δ under Manhattan
+	dil     *big.Rat    // max Δ^d/Δπ under Manhattan
+	saPrime uint64      // Σ Δπ over ordered pairs
+	avgE    float64     // mean Δπ/Δ_E, in floats
+	maxE    float64     // max Δπ/Δ_E, in floats
+	conv    float64     // max Δ_E/Δπ^(1/d), in floats
+}
+
+func naiveAllPairs(c curve.Curve) naivePairs {
 	u := c.Universe()
 	n := u.N()
-	p := u.NewPoint()
-	q := u.NewPoint()
-	var sum float64
+	p, q := u.NewPoint(), u.NewPoint()
+	r := naivePairs{maxM: new(big.Rat), dil: new(big.Rat)}
+	for i := range r.mean {
+		r.mean[i] = new(big.Rat)
+	}
 	for a := uint64(0); a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			u.FromLinear(a, p)
 			u.FromLinear(b, q)
-			var dist float64
-			if m == Manhattan {
-				dist = float64(grid.Manhattan(p, q))
-			} else {
-				dist = grid.Euclidean(p, q)
+			dPi, dM := curve.Dist(c, p, q), grid.Manhattan(p, q)
+			dE := grid.Euclidean(p, q)
+			r.saPrime += 2 * dPi
+			r.avgE += float64(dPi) / dE
+			r.maxE = max(r.maxE, float64(dPi)/dE)
+			r.conv = max(r.conv, dE/math.Pow(float64(dPi), 1/float64(u.D())))
+			ratio := new(big.Rat).SetFrac(new(big.Int).SetUint64(dPi), new(big.Int).SetUint64(dM))
+			pow := new(big.Rat).SetInt64(1)
+			for i := 1; i <= 4; i++ {
+				pow.Mul(pow, ratio)
+				r.mean[i].Add(r.mean[i], pow)
 			}
-			sum += float64(curve.Dist(c, p, q)) / dist
+			if ratio.Cmp(r.maxM) > 0 {
+				r.maxM = ratio
+			}
+			dd := new(big.Int).Exp(new(big.Int).SetUint64(dM), big.NewInt(int64(u.D())), nil)
+			if dil := new(big.Rat).SetFrac(dd, new(big.Int).SetUint64(dPi)); dil.Cmp(r.dil) > 0 {
+				r.dil = dil
+			}
 		}
 	}
-	return 2 * sum / (float64(n) * float64(n-1))
+	pairs := new(big.Rat).SetInt64(int64(n * (n - 1) / 2))
+	for i := 1; i <= 4; i++ {
+		r.mean[i].Quo(r.mean[i], pairs)
+	}
+	r.avgE /= float64(n * (n - 1) / 2)
+	return r
+}
+
+func mustTable(t testing.TB, c curve.Curve, workers int) *PairTable {
+	t.Helper()
+	tab, err := NewPairTable(c, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func TestAllPairsStretchMatchesNaive(t *testing.T) {
-	for _, dk := range [][2]int{{1, 4}, {2, 2}, {3, 1}} {
+	for _, dk := range [][2]int{{1, 1}, {1, 6}, {2, 1}, {2, 3}, {3, 1}, {3, 2}} {
 		u := grid.MustNew(dk[0], dk[1])
 		for _, c := range testCurves(t, u) {
-			for _, m := range []Metric{Manhattan, Euclidean} {
-				got, err := AllPairsStretch(c, m, 3)
+			want := naiveAllPairs(c)
+			tab := mustTable(t, c, 3)
+			for p := 1; p <= 4; p++ {
+				got, err := tab.PNormRat(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := naiveAllPairs(c, m); math.Abs(got-want) > 1e-9 {
-					t.Errorf("%s %v on %v: %v, naive %v", c.Name(), m, u, got, want)
+				if got.Cmp(want.mean[p]) != 0 {
+					t.Errorf("%s on %v: str_%d^%d = %v, naive %v", c.Name(), u, p, p, got, want.mean[p])
+				}
+			}
+			if got, w := tab.Avg(Manhattan), ratFloat(want.mean[1]); got != w {
+				t.Errorf("%s on %v: str_M %v, naive %v", c.Name(), u, got, w)
+			}
+			if got := tab.SAPrime(); got != want.saPrime {
+				t.Errorf("%s on %v: S_A' %d, naive %d", c.Name(), u, got, want.saPrime)
+			}
+			if got, w := tab.MaxPair(Manhattan), ratFloat(want.maxM); got != w {
+				t.Errorf("%s on %v: max pair %v, naive %v", c.Name(), u, got, w)
+			}
+			if got, w := tab.Dilation(), ratFloat(want.dil); got != w {
+				t.Errorf("%s on %v: dilation %v, naive %v", c.Name(), u, got, w)
+			}
+			for _, f := range []struct {
+				what      string
+				got, want float64
+			}{
+				{"str_E", tab.Avg(Euclidean), want.avgE},
+				{"Euclidean max pair", tab.MaxPair(Euclidean), want.maxE},
+				{"converse", tab.Converse(), want.conv},
+			} {
+				if math.Abs(f.got-f.want) > 1e-12*f.want {
+					t.Errorf("%s on %v: %s %v, naive %v", c.Name(), u, f.what, f.got, f.want)
 				}
 			}
 		}
+	}
+}
+
+func ratFloat(r *big.Rat) float64 {
+	f, _ := r.Float64()
+	return f
+}
+
+// TestPairTableWorkerInvariance checks that every metric is bit-identical
+// at every worker count. Each universe has more than 4096 offsets, so the
+// pass really fans out; d = 5, k = 2 does so with n = 1024, so every curve
+// runs there, and z and hilbert also run at the harness's d = 2, n = 4096.
+func TestPairTableWorkerInvariance(t *testing.T) {
+	u := grid.MustNew(2, 6)
+	cs := append(testCurves(t, grid.MustNew(5, 2)), curve.NewZ(u), curve.NewHilbert(u))
+	for _, c := range cs {
+		var ref *PairTable
+		var refVals []float64
+		for _, w := range []int{1, 2, 3, 5, 8} {
+			tab := mustTable(t, c, w)
+			vals := []float64{float64(tab.SAPrime()), tab.Avg(Euclidean), tab.MaxPair(Manhattan),
+				tab.MaxPair(Euclidean), tab.Converse(), tab.Dilation()}
+			for p := 1; p <= 4; p++ {
+				for _, m := range []Metric{Manhattan, Euclidean} {
+					v, err := tab.PNorm(m, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vals = append(vals, v)
+				}
+			}
+			if ref == nil {
+				ref, refVals = tab, vals
+				continue
+			}
+			if !slices.Equal(tab.rows, ref.rows) {
+				t.Errorf("%s on %v: workers=%d builds a different table", c.Name(), c.Universe(), w)
+			}
+			if !slices.Equal(vals, refVals) {
+				t.Errorf("%s on %v: workers=%d gives %v, workers=1 %v", c.Name(), c.Universe(), w, vals, refVals)
+			}
+		}
+	}
+}
+
+// TestPairRowCarries feeds one row Δπ values near the 2^15 cap, so that
+// S₄ passes 2^64 (the swept sizes never get there).
+func TestPairRowCarries(t *testing.T) {
+	const cnt = 40
+	a, b := make([]uint64, cnt), make([]uint64, cnt)
+	want := [5]*big.Int{}
+	for p := range want {
+		want[p] = new(big.Int)
+	}
+	for x := range b {
+		a[x] = uint64(x % 2)
+		b[x] = a[x] + MaxExactPairsN - 1 - uint64(x)
+		if x%3 == 0 { // the pair in the other order
+			a[x], b[x] = b[x], a[x]
+		}
+		dd := big.NewInt(int64(MaxExactPairsN - 1 - x))
+		pow := big.NewInt(1)
+		for p := 1; p <= 4; p++ {
+			want[p].Add(want[p], pow.Mul(pow, dd))
+		}
+	}
+	r := pairRow{min: ^uint64(0)}
+	r.addRun(a[:cnt/2], b[:cnt/2])
+	r.addRun(a[cnt/2:], b[cnt/2:])
+	if want[4].BitLen() <= 64 {
+		t.Fatalf("S_4 = %v does not pass 2^64", want[4])
+	}
+	for p := 1; p <= 4; p++ {
+		if got := r.sum(p).big(); got.Cmp(want[p]) != 0 {
+			t.Errorf("S_%d = %v, want %v", p, got, want[p])
+		}
+	}
+	if r.min != MaxExactPairsN-cnt || r.max != MaxExactPairsN-1 {
+		t.Errorf("min, max = %d, %d, want %d, %d", r.min, r.max, MaxExactPairsN-cnt, MaxExactPairsN-1)
 	}
 }
 
 func TestAllPairsStretchGuards(t *testing.T) {
-	big3 := grid.MustNew(3, 6) // 2^18 > MaxExactPairsN
-	if _, err := AllPairsStretch(curve.NewZ(big3), Manhattan, 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(3, 6)), 1); err == nil { // 2^18 > MaxExactPairsN
 		t.Fatal("oversized exact all-pairs accepted")
 	}
-	one := grid.MustNew(2, 0)
-	if _, err := AllPairsStretch(curve.NewZ(one), Manhattan, 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(2, 0)), 1); err == nil {
 		t.Fatal("single-cell all-pairs accepted")
-	}
-	if _, err := MaxPairStretch(curve.NewZ(big3), Manhattan, 1); err == nil {
-		t.Fatal("oversized max pair accepted")
-	}
-	if _, err := MaxPairStretch(curve.NewZ(one), Manhattan, 1); err == nil {
-		t.Fatal("single-cell max pair accepted")
-	}
-	if _, err := SAPrime(curve.NewZ(big3), 1); err == nil {
-		t.Fatal("oversized SAPrime accepted")
 	}
 }
 
@@ -79,16 +213,10 @@ func TestProposition3LowerBounds(t *testing.T) {
 		lbM := bounds.AllPairsManhattanLB(d, k)
 		lbE := bounds.AllPairsEuclideanLB(d, k)
 		for _, c := range testCurves(t, u) {
-			gotM, err := AllPairsStretch(c, Manhattan, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tab := mustTable(t, c, 3)
+			gotM, gotE := tab.Avg(Manhattan), tab.Avg(Euclidean)
 			if gotM < lbM-1e-9 {
 				t.Errorf("%s on %v: Manhattan stretch %v below bound %v", c.Name(), u, gotM, lbM)
-			}
-			gotE, err := AllPairsStretch(c, Euclidean, 3)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if gotE < lbE-1e-9 {
 				t.Errorf("%s on %v: Euclidean stretch %v below bound %v", c.Name(), u, gotE, lbE)
@@ -106,18 +234,11 @@ func TestProposition4SimpleCurveUpperBounds(t *testing.T) {
 		d, k := dk[0], dk[1]
 		u := grid.MustNew(d, k)
 		s := curve.NewSimple(u)
-		gotM, err := AllPairsStretch(s, Manhattan, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ub := bounds.SimpleAllPairsManhattanUB(d, k); gotM > ub+1e-9 {
+		tab := mustTable(t, s, 3)
+		if gotM, ub := tab.Avg(Manhattan), bounds.SimpleAllPairsManhattanUB(d, k); gotM > ub+1e-9 {
 			t.Errorf("d=%d k=%d: simple Manhattan stretch %v above UB %v", d, k, gotM, ub)
 		}
-		gotE, err := AllPairsStretch(s, Euclidean, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ub := bounds.SimpleAllPairsEuclideanUB(d, k); gotE > ub+1e-9 {
+		if gotE, ub := tab.Avg(Euclidean), bounds.SimpleAllPairsEuclideanUB(d, k); gotE > ub+1e-9 {
 			t.Errorf("d=%d k=%d: simple Euclidean stretch %v above UB %v", d, k, gotE, ub)
 		}
 	}
@@ -130,18 +251,11 @@ func TestLemma7PerPairBound(t *testing.T) {
 		d, k := dk[0], dk[1]
 		u := grid.MustNew(d, k)
 		s := curve.NewSimple(u)
-		maxM, err := MaxPairStretch(s, Manhattan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ub := bounds.SimpleAllPairsManhattanUB(d, k); maxM > ub+1e-9 {
+		tab := mustTable(t, s, 2)
+		if maxM, ub := tab.MaxPair(Manhattan), bounds.SimpleAllPairsManhattanUB(d, k); maxM > ub+1e-9 {
 			t.Errorf("d=%d k=%d: max pair Manhattan stretch %v above %v", d, k, maxM, ub)
 		}
-		maxE, err := MaxPairStretch(s, Euclidean, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ub := bounds.SimpleAllPairsEuclideanUB(d, k); maxE > ub+1e-9 {
+		if maxE, ub := tab.MaxPair(Euclidean), bounds.SimpleAllPairsEuclideanUB(d, k); maxE > ub+1e-9 {
 			t.Errorf("d=%d k=%d: max pair Euclidean stretch %v above %v", d, k, maxE, ub)
 		}
 	}
@@ -153,10 +267,7 @@ func TestLemma2SAPrimeIdentity(t *testing.T) {
 		u := grid.MustNew(dk[0], dk[1])
 		want := SAPrimeIdentity(u.N())
 		for _, c := range testCurves(t, u) {
-			got, err := SAPrime(c, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := mustTable(t, c, 3).SAPrime()
 			if new(big.Int).SetUint64(got).Cmp(want) != 0 {
 				t.Errorf("%s on %v: S_A' = %d, want %v", c.Name(), u, got, want)
 			}
@@ -171,10 +282,7 @@ func TestLemma2SAPrimeIdentity(t *testing.T) {
 func TestSampledAllPairsApproximatesExact(t *testing.T) {
 	u := grid.MustNew(2, 4)
 	z := curve.NewZ(u)
-	exact, err := AllPairsStretch(z, Manhattan, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := mustTable(t, z, 3).Avg(Manhattan)
 	est, err := SampledAllPairsStretch(z, Manhattan, 60000, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -10,15 +10,16 @@
 //     "average-average nearest-neighbor stretch" (Definition 2).
 //   - δmax_π(α), Dmax(π): the max-per-cell variants (Definitions 3, 4).
 //   - str_avg,M(π), str_avg,E(π): the average all-pairs stretch under the
-//     Manhattan and Euclidean metrics (§V.B).
+//     Manhattan and Euclidean metrics (§V.B), and S_{A′}(π), the total
+//     curve distance over all ordered pairs (Lemma 2) — with the other
+//     all-pairs metrics, reads of one per-offset integer table (PairTable).
 //   - Λ_i(π): the per-dimension sums of curve distances over nearest-
-//     neighbor pairs differing in dimension i (§IV.B), and S_{A′}(π), the
-//     total curve distance over all ordered pairs (Lemma 2).
+//     neighbor pairs differing in dimension i (§IV.B).
 //
-// All exact computations run in parallel over contiguous chunks of the cell
-// index space with deterministic reductions (see the parallel package), so
-// repeated runs yield identical values. Pass workers <= 0 to use
-// GOMAXPROCS.
+// All exact computations add integers in parallel — over contiguous chunks
+// of the cell index space, or over the offsets of the all-pairs table — and
+// only then round, so repeated runs at any worker count yield identical values.
+// Pass workers <= 0 to use GOMAXPROCS.
 package core
 
 import (
@@ -164,6 +165,8 @@ func (a u128) big() *big.Int {
 	x := new(big.Int).SetUint64(a.hi)
 	return x.Lsh(x, 64).Or(x, new(big.Int).SetUint64(a.lo))
 }
+
+func (a u128) float() float64 { return float64(a.hi)*0x1p64 + float64(a.lo) }
 
 // nnAcc is one chunk of an NN sweep in integers. Davg is
 // (1/n)·Σ_{g=d}^{2d} T_g/g, where T_g sums S(α) = Σ_{β∈N(α)} Δπ(α, β) over

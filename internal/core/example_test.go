@@ -30,15 +30,15 @@ func ExampleNNStretchResult() {
 	// Output: 1.5 2
 }
 
-func ExampleSAPrime() {
+func ExamplePairTable_SAPrime() {
 	// Lemma 2: Σ over ordered pairs of Δπ is (n−1)n(n+1)/3 for any curve.
 	u := grid.MustNew(2, 1)
 	z := curve.NewZ(u)
-	got, err := core.SAPrime(z, 1)
+	tab, err := core.NewPairTable(z, 1)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(got, core.SAPrimeIdentity(u.N()))
+	fmt.Println(tab.SAPrime(), core.SAPrimeIdentity(u.N()))
 	// Output: 20 20
 }
 

@@ -158,127 +158,3 @@ func randomOffset(rng *rand.Rand, u *grid.Universe, p, q grid.Point, r uint64) b
 	}
 	return true
 }
-
-// PNormStretch computes the p-norm all-pairs stretch of Dai & Su ([7, 8] in
-// the paper's related work):
-//
-//	str_p(π) = ( (2/(n(n−1))) Σ_{(α,β) ∈ A} (Δπ(α,β)/Δ(α,β))^p )^(1/p)
-//
-// For p = 1 under the Manhattan metric it coincides with AllPairsStretch;
-// growing p weights the badly-stretched pairs more heavily, interpolating
-// towards the worst-case pair stretch (MaxPairStretch) as p → ∞.
-func PNormStretch(c curve.Curve, m Metric, p float64, workers int) (float64, error) {
-	u := c.Universe()
-	n := u.N()
-	if n > MaxExactPairsN {
-		return 0, fmt.Errorf("core: exact p-norm stretch over n=%d exceeds limit %d", n, MaxExactPairsN)
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("core: p-norm stretch undefined for n=%d", n)
-	}
-	if p < 1 {
-		return 0, fmt.Errorf("core: p-norm needs p >= 1, got %v", p)
-	}
-	idxOf, coords := flatUniverse(c)
-	d := u.D()
-	total := sumPairsFloat(n, workers, func(a, b uint64) float64 {
-		dist := pairDistance(coords, d, a, b, m)
-		return math.Pow(float64(absDiff(idxOf[a], idxOf[b]))/dist, p)
-	})
-	return math.Pow(2*total/(float64(n)*float64(n-1)), 1/p), nil
-}
-
-// ConverseStretch measures the opposite direction from the paper's stretch
-// — the question of Gotsman & Lindenbaum ([11]): how far apart in space can
-// two cells be, relative to their distance along the curve? It returns the
-// maximum over unordered pairs of
-//
-//	Δ_E(α, β) / Δπ(α, β)^(1/d),
-//
-// the natural normalization since an index interval of length m can span a
-// region of diameter at most O(m^(1/d)). Unit-step curves with good
-// locality (Hilbert) keep this ratio small; the Z curve's jumps make it
-// large. The paper notes ([20], [11]) that a small converse stretch does
-// NOT imply a small forward stretch — this metric lets the harness
-// demonstrate that contrast.
-func ConverseStretch(c curve.Curve, workers int) (float64, error) {
-	u := c.Universe()
-	n := u.N()
-	if n > MaxExactPairsN {
-		return 0, fmt.Errorf("core: exact converse stretch over n=%d exceeds limit %d", n, MaxExactPairsN)
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("core: converse stretch undefined for n=%d", n)
-	}
-	idxOf, coords := flatUniverse(c)
-	d := u.D()
-	invD := 1 / float64(d)
-	return maxPairsFloat(n, workers, func(a, b uint64) float64 {
-		dist := pairDistance(coords, d, a, b, Euclidean)
-		return dist / math.Pow(float64(absDiff(idxOf[a], idxOf[b])), invD)
-	}), nil
-}
-
-// UnitStepDilation returns, for a unit-step curve, the maximum over index
-// pairs (i, j) of Δ(π⁻¹(i), π⁻¹(j))^d / |i−j| — the worst-case constant in
-// Niedermeier, Reinhardt & Sanders' style bounds ("Manhattan distance is at
-// most c·|i−j|^(1/d)", [20] in the paper; they prove c^d ≤ 9 for the 2-d
-// Hilbert curve in the form Δ ≤ 3·sqrt(i−j)).
-func UnitStepDilation(c curve.Curve, workers int) (float64, error) {
-	u := c.Universe()
-	n := u.N()
-	if n > MaxExactPairsN {
-		return 0, fmt.Errorf("core: exact dilation over n=%d exceeds limit %d", n, MaxExactPairsN)
-	}
-	if n < 2 {
-		return 0, fmt.Errorf("core: dilation undefined for n=%d", n)
-	}
-	// Here pairs range over curve indices, so decode the curve once with a
-	// single batched decode (kernel fast path when the curve has one).
-	d := u.D()
-	coords := make([]uint32, n*uint64(d))
-	indices := make([]uint64, n)
-	for idx := range indices {
-		indices[idx] = uint64(idx)
-	}
-	curve.NewBatcher(c).PointBatch(indices, coords)
-	dd := float64(d)
-	return maxPairsFloat(n, workers, func(a, b uint64) float64 {
-		var md uint64
-		ca := coords[a*uint64(d) : (a+1)*uint64(d)]
-		cb := coords[b*uint64(d) : (b+1)*uint64(d)]
-		for i := 0; i < d; i++ {
-			if ca[i] >= cb[i] {
-				md += uint64(ca[i] - cb[i])
-			} else {
-				md += uint64(cb[i] - ca[i])
-			}
-		}
-		return math.Pow(float64(md), dd) / float64(b-a)
-	}), nil
-}
-
-// pairDistance computes the chosen metric between two flattened cells.
-func pairDistance(coords []uint32, d int, a, b uint64, m Metric) float64 {
-	ca := coords[a*uint64(d) : (a+1)*uint64(d)]
-	cb := coords[b*uint64(d) : (b+1)*uint64(d)]
-	switch m {
-	case Manhattan:
-		var md uint64
-		for i := 0; i < d; i++ {
-			if ca[i] >= cb[i] {
-				md += uint64(ca[i] - cb[i])
-			} else {
-				md += uint64(cb[i] - ca[i])
-			}
-		}
-		return float64(md)
-	default:
-		var sq float64
-		for i := 0; i < d; i++ {
-			diff := float64(int64(ca[i]) - int64(cb[i]))
-			sq += diff * diff
-		}
-		return math.Sqrt(sq)
-	}
-}

@@ -164,16 +164,22 @@ func TestStretchProfileGuards(t *testing.T) {
 func TestPNormStretchReducesToAllPairs(t *testing.T) {
 	u := grid.MustNew(2, 3)
 	for _, c := range testCurves(t, u) {
-		p1, err := PNormStretch(c, Manhattan, 1, 2)
+		tab := mustTable(t, c, 2)
+		for _, m := range []Metric{Manhattan, Euclidean} {
+			p1, err := tab.PNorm(m, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ap := tab.Avg(m); p1 != ap {
+				t.Fatalf("%s %v: p=1 norm %v != all-pairs %v", c.Name(), m, p1, ap)
+			}
+		}
+		exact, err := tab.PNormRat(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap, err := AllPairsStretch(c, Manhattan, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(p1-ap) > 1e-9 {
-			t.Fatalf("%s: p=1 norm %v != all-pairs %v", c.Name(), p1, ap)
+		if f, _ := exact.Float64(); f != tab.Avg(Manhattan) {
+			t.Fatalf("%s: str_M %v is not its exact value %v rounded", c.Name(), tab.Avg(Manhattan), exact)
 		}
 	}
 }
@@ -182,37 +188,42 @@ func TestPNormStretchMonotoneInP(t *testing.T) {
 	// Power-mean inequality: str_p is non-decreasing in p, and bounded by
 	// the max pair stretch.
 	u := grid.MustNew(2, 3)
-	z := curve.NewZ(u)
-	prev := 0.0
-	for _, p := range []float64{1, 2, 4, 8} {
-		v, err := PNormStretch(z, Euclidean, p, 2)
-		if err != nil {
-			t.Fatal(err)
+	tab := mustTable(t, curve.NewZ(u), 2)
+	for _, m := range []Metric{Manhattan, Euclidean} {
+		prev := 0.0
+		for p := 1; p <= 4; p++ {
+			v, err := tab.PNorm(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v < prev-1e-9 {
+				t.Fatalf("%v p-norm not monotone: p=%d gives %v after %v", m, p, v, prev)
+			}
+			prev = v
 		}
-		if v < prev-1e-9 {
-			t.Fatalf("p-norm not monotone: p=%v gives %v after %v", p, v, prev)
+		if maxPair := tab.MaxPair(m); prev > maxPair+1e-9 {
+			t.Fatalf("%v p=4 norm %v exceeds max pair %v", m, prev, maxPair)
 		}
-		prev = v
-	}
-	maxPair, err := MaxPairStretch(z, Euclidean, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev > maxPair+1e-9 {
-		t.Fatalf("p=8 norm %v exceeds max pair %v", prev, maxPair)
 	}
 }
 
 func TestPNormStretchGuards(t *testing.T) {
-	big3 := grid.MustNew(3, 6)
-	if _, err := PNormStretch(curve.NewZ(big3), Manhattan, 2, 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(3, 6)), 1); err == nil {
 		t.Fatal("oversized accepted")
 	}
-	small := grid.MustNew(2, 2)
-	if _, err := PNormStretch(curve.NewZ(small), Manhattan, 0.5, 1); err == nil {
-		t.Fatal("p<1 accepted")
+	tab := mustTable(t, curve.NewZ(grid.MustNew(2, 2)), 1)
+	for _, p := range []int{0, 5} {
+		if _, err := tab.PNorm(Manhattan, p); err == nil {
+			t.Fatalf("p=%d accepted", p)
+		}
+		if _, err := tab.PNorm(Euclidean, p); err == nil {
+			t.Fatalf("Euclidean p=%d accepted", p)
+		}
+		if _, err := tab.PNormRat(p); err == nil {
+			t.Fatalf("exact p=%d accepted", p)
+		}
 	}
-	if _, err := PNormStretch(curve.NewZ(grid.MustNew(2, 0)), Manhattan, 2, 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(2, 0)), 1); err == nil {
 		t.Fatal("single cell accepted")
 	}
 }
@@ -221,14 +232,8 @@ func TestConverseStretchHilbertVsZ(t *testing.T) {
 	// Gotsman–Lindenbaum direction: Hilbert keeps spatial distance small
 	// relative to index distance; the Z curve's jumps blow the ratio up.
 	u := grid.MustNew(2, 4)
-	hv, err := ConverseStretch(curve.NewHilbert(u), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zv, err := ConverseStretch(curve.NewZ(u), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hv := mustTable(t, curve.NewHilbert(u), 2).Converse()
+	zv := mustTable(t, curve.NewZ(u), 2).Converse()
 	if hv >= zv {
 		t.Fatalf("converse stretch: hilbert %v not below z %v", hv, zv)
 	}
@@ -240,10 +245,10 @@ func TestConverseStretchHilbertVsZ(t *testing.T) {
 }
 
 func TestConverseStretchGuards(t *testing.T) {
-	if _, err := ConverseStretch(curve.NewZ(grid.MustNew(3, 6)), 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(3, 6)), 1); err == nil {
 		t.Fatal("oversized accepted")
 	}
-	if _, err := ConverseStretch(curve.NewZ(grid.MustNew(2, 0)), 1); err == nil {
+	if _, err := NewPairTable(curve.NewZ(grid.MustNew(2, 0)), 1); err == nil {
 		t.Fatal("single cell accepted")
 	}
 }
@@ -253,10 +258,7 @@ func TestUnitStepDilationHilbert2D(t *testing.T) {
 	// Δ ≤ 3·sqrt(|i−j|) ⇒ Δ²/|i−j| ≤ 9. Our Hilbert must respect it, and
 	// the constant should exceed 4 (it is known to be ≥ 5.5 asymptotically).
 	u := grid.MustNew(2, 5)
-	v, err := UnitStepDilation(curve.NewHilbert(u), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := mustTable(t, curve.NewHilbert(u), 2).Dilation()
 	if v > 9+1e-9 {
 		t.Fatalf("Hilbert dilation constant %v exceeds the NRS bound 9", v)
 	}
@@ -266,20 +268,16 @@ func TestUnitStepDilationHilbert2D(t *testing.T) {
 	// Snake is far worse: walking to the next row end costs Θ(side) index
 	// steps for Δ=2, but in the Δ^d/|i−j| normalization its worst pairs are
 	// whole-row traversals: Δ ≈ side at |i−j| ≈ side ⇒ ratio ≈ side.
-	sv, err := UnitStepDilation(curve.NewSnake(u), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv <= v {
+	if sv := mustTable(t, curve.NewSnake(u), 2).Dilation(); sv <= v {
 		t.Fatalf("snake dilation %v not worse than hilbert %v", sv, v)
 	}
 }
 
 func TestUnitStepDilationGuards(t *testing.T) {
-	if _, err := UnitStepDilation(curve.NewHilbert(grid.MustNew(3, 6)), 1); err == nil {
+	if _, err := NewPairTable(curve.NewHilbert(grid.MustNew(3, 6)), 1); err == nil {
 		t.Fatal("oversized accepted")
 	}
-	if _, err := UnitStepDilation(curve.NewHilbert(grid.MustNew(2, 0)), 1); err == nil {
+	if _, err := NewPairTable(curve.NewHilbert(grid.MustNew(2, 0)), 1); err == nil {
 		t.Fatal("single cell accepted")
 	}
 }

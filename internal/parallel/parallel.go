@@ -2,13 +2,12 @@
 // used by the exact stretch computations: a chunked parallel for-loop and
 // deterministic parallel reductions.
 //
-// Every metric in this repository is a sum over the n cells of the universe
-// (or over the n(n-1)/2 pairs). The helpers here split the index space into
-// contiguous chunks, evaluate chunks on worker goroutines, and combine the
-// per-chunk partial results in chunk order, so results are bit-for-bit
-// reproducible regardless of scheduling and worker count. Floating-point
-// chunk sums use Kahan compensation to keep accumulated error negligible at
-// the problem sizes swept by the experiment harness.
+// Every exact metric in this repository is an integer sum over the n cells
+// of the universe (or over the offsets of the all-pairs table). The helpers
+// here split the index space into contiguous chunks, evaluate chunks on
+// worker goroutines, and combine the per-chunk partial results in chunk
+// order. Integer partials add exactly, so results are bit-for-bit
+// reproducible regardless of scheduling and worker count.
 package parallel
 
 import (
@@ -108,63 +107,6 @@ func SumUint64(n uint64, workers int, term func(i uint64) uint64) uint64 {
 	return total
 }
 
-// SumFloat64 returns the sum over i in [0, n) of term(i), computed in
-// parallel with per-chunk Kahan compensation and a deterministic chunk-order
-// combine.
-func SumFloat64(n uint64, workers int, term func(i uint64) float64) float64 {
-	parts := partialRanges(n, workers)
-	sums := make([]float64, len(parts))
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
-	for pi := range parts {
-		go func(pi int) {
-			defer wg.Done()
-			var s, c float64 // Kahan running sum and compensation
-			for i := parts[pi].lo; i < parts[pi].hi; i++ {
-				y := term(i) - c
-				t := s + y
-				c = (t - s) - y
-				s = t
-			}
-			sums[pi] = s
-		}(pi)
-	}
-	wg.Wait()
-	var total, c float64
-	for _, s := range sums {
-		y := s - c
-		t := total + y
-		c = (t - total) - y
-		total = t
-	}
-	return total
-}
-
-// SumFloat64Chunked is like SumFloat64 but hands whole ranges to term so the
-// caller can hoist per-chunk state (scratch buffers, curve decoders) out of
-// the inner loop. term must return the exact sum for its range.
-func SumFloat64Chunked(n uint64, workers int, term func(lo, hi uint64) float64) float64 {
-	parts := partialRanges(n, workers)
-	sums := make([]float64, len(parts))
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
-	for pi := range parts {
-		go func(pi int) {
-			defer wg.Done()
-			sums[pi] = term(parts[pi].lo, parts[pi].hi)
-		}(pi)
-	}
-	wg.Wait()
-	var total, c float64
-	for _, s := range sums {
-		y := s - c
-		t := total + y
-		c = (t - total) - y
-		total = t
-	}
-	return total
-}
-
 // SumUint64Chunked is like SumUint64 but hands whole ranges to term.
 func SumUint64Chunked(n uint64, workers int, term func(lo, hi uint64) uint64) uint64 {
 	parts := partialRanges(n, workers)
@@ -183,29 +125,6 @@ func SumUint64Chunked(n uint64, workers int, term func(lo, hi uint64) uint64) ui
 		total += s
 	}
 	return total
-}
-
-// MaxFloat64Chunked returns the maximum over [0, n) where term returns the
-// maximum for its range, or negative infinity for an empty range.
-func MaxFloat64Chunked(n uint64, workers int, term func(lo, hi uint64) float64) float64 {
-	parts := partialRanges(n, workers)
-	maxes := make([]float64, len(parts))
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
-	for pi := range parts {
-		go func(pi int) {
-			defer wg.Done()
-			maxes[pi] = term(parts[pi].lo, parts[pi].hi)
-		}(pi)
-	}
-	wg.Wait()
-	best := maxes[0]
-	for _, m := range maxes[1:] {
-		if m > best {
-			best = m
-		}
-	}
-	return best
 }
 
 // MapRanges splits [0, n) into one contiguous range per worker, evaluates

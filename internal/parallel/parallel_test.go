@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -66,46 +65,8 @@ func TestSumUint64WorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestSumFloat64Accuracy(t *testing.T) {
-	// Sum of 1/(i+1) compared against a sequential Kahan reference.
-	const n = 1 << 20
-	var ref, c float64
-	for i := uint64(0); i < n; i++ {
-		y := 1/float64(i+1) - c
-		s := ref + y
-		c = (s - ref) - y
-		ref = s
-	}
-	got := SumFloat64(n, 0, func(i uint64) float64 { return 1 / float64(i+1) })
-	if math.Abs(got-ref) > 1e-9 {
-		t.Fatalf("sum = %.15f, want %.15f", got, ref)
-	}
-}
-
-func TestSumFloat64Deterministic(t *testing.T) {
-	const n = 1<<19 + 311
-	term := func(i uint64) float64 { return math.Sin(float64(i)) }
-	a := SumFloat64(n, 4, term)
-	for trial := 0; trial < 5; trial++ {
-		if b := SumFloat64(n, 4, term); b != a {
-			t.Fatalf("non-deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestSumChunkedMatchesPerIndex(t *testing.T) {
 	const n = 1<<18 + 5
-	want := SumFloat64(n, 3, func(i uint64) float64 { return float64(i % 97) })
-	got := SumFloat64Chunked(n, 3, func(lo, hi uint64) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i % 97)
-		}
-		return s
-	})
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("chunked %v != per-index %v", got, want)
-	}
 	wantU := SumUint64(n, 3, func(i uint64) uint64 { return i % 97 })
 	gotU := SumUint64Chunked(n, 3, func(lo, hi uint64) uint64 {
 		var s uint64
@@ -116,23 +77,6 @@ func TestSumChunkedMatchesPerIndex(t *testing.T) {
 	})
 	if gotU != wantU {
 		t.Fatalf("chunked %v != per-index %v", gotU, wantU)
-	}
-}
-
-func TestMaxFloat64Chunked(t *testing.T) {
-	const n = 1 << 18
-	got := MaxFloat64Chunked(n, 6, func(lo, hi uint64) float64 {
-		best := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			v := -math.Abs(float64(i) - 123456.0)
-			if v > best {
-				best = v
-			}
-		}
-		return best
-	})
-	if got != 0 {
-		t.Fatalf("max = %v, want 0", got)
 	}
 }
 
@@ -156,13 +100,3 @@ func TestPartialRanges(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSumFloat64(b *testing.B) {
-	const n = 1 << 22
-	b.SetBytes(n * 8)
-	for i := 0; i < b.N; i++ {
-		sink = SumFloat64(n, 0, func(i uint64) float64 { return float64(i & 1023) })
-	}
-}
-
-var sink float64

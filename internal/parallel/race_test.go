@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,32 +16,6 @@ import (
 
 // stressN sits above minSequential so the reductions actually fan out.
 const stressN = 3 * minSequential
-
-func TestRaceStressSumFloat64(t *testing.T) {
-	term := func(i uint64) float64 { return math.Sqrt(float64(i)) }
-	want := SumFloat64(stressN, 3, term)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for rep := 0; rep < 10; rep++ {
-				// Same worker count must be bit-for-bit stable even while
-				// other goroutines run the reduction at other counts.
-				if got := SumFloat64(stressN, 3, term); got != want {
-					t.Errorf("goroutine %d rep %d: %v != %v", g, rep, got, want)
-					return
-				}
-				other := SumFloat64(stressN, 1+g%7, term)
-				if math.Abs(other-want) > 1e-9*want {
-					t.Errorf("goroutine %d: workers=%d sum %v far from %v", g, 1+g%7, other, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
 
 func TestRaceStressSumUint64(t *testing.T) {
 	term := func(i uint64) uint64 { return i*i + 1 }
@@ -125,45 +98,16 @@ func TestRaceStressForChunked(t *testing.T) {
 
 func TestRaceStressChunkedReductions(t *testing.T) {
 	var wg sync.WaitGroup
-	wantF := SumFloat64Chunked(stressN, 1, func(lo, hi uint64) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += 1 / float64(i+1)
-		}
-		return s
-	})
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			workers := 1 + g
-			got := SumFloat64Chunked(stressN, workers, func(lo, hi uint64) float64 {
-				var s float64
-				for i := lo; i < hi; i++ {
-					s += 1 / float64(i+1)
-				}
-				return s
-			})
-			if math.Abs(got-wantF) > 1e-9 {
-				t.Errorf("SumFloat64Chunked workers=%d: %v vs %v", workers, got, wantF)
-			}
 			gotU := SumUint64Chunked(stressN, workers, func(lo, hi uint64) uint64 {
 				return hi*(hi-1)/2 - lo*(lo-1)/2
 			})
 			if gotU != stressN*(stressN-1)/2 {
 				t.Errorf("SumUint64Chunked workers=%d: %d", workers, gotU)
-			}
-			gotM := MaxFloat64Chunked(stressN, workers, func(lo, hi uint64) float64 {
-				best := math.Inf(-1)
-				for i := lo; i < hi; i++ {
-					if v := float64(i % 1009); v > best {
-						best = v
-					}
-				}
-				return best
-			})
-			if gotM != 1008 {
-				t.Errorf("MaxFloat64Chunked workers=%d: %v", workers, gotM)
 			}
 		}(g)
 	}

@@ -20,6 +20,7 @@ package rect
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/bits"
 	"repro/internal/grid"
@@ -253,14 +254,18 @@ func (c *CompactZ) Point(idx uint64, dst grid.Point) {
 
 // DAvg computes the exact average NN-stretch of a rectangular curve, in
 // parallel (Definitions 1-2 applied to the rectangular neighbor relation).
+// Each chunk sums S(α) = Σ_{β∈N(α)} Δπ(α, β) per degree g in integers, so
+// Davg = (1/n)·Σ_g T_g/g is formed exactly and rounded once, at any worker
+// count. Every side is at least 2, so g ∈ [d, 2d]; T_g ≤ 2d·n² stays within
+// uint64 for every universe small enough to sweep.
 func DAvg(c Curve, workers int) float64 {
 	u := c.Universe()
 	n := u.N()
 	d := u.D()
-	total := parallel.SumFloat64Chunked(n, workers, func(lo, hi uint64) float64 {
+	parts := parallel.MapRanges(n, workers, func(lo, hi uint64) []uint64 {
 		p := u.NewPoint()
 		q := u.NewPoint()
-		var s, comp float64
+		sums := make([]uint64, d+1) // T_g at g−d
 		for lin := lo; lin < hi; lin++ {
 			u.FromLinear(lin, p)
 			base := c.Index(p)
@@ -281,14 +286,25 @@ func DAvg(c Curve, workers int) float64 {
 					q[i] = p[i]
 				}
 			}
-			y := float64(sum)/float64(deg) - comp
-			t := s + y
-			comp = (t - s) - y
-			s = t
+			sums[deg-d] += sum
 		}
-		return s
+		return sums
 	})
-	return total / float64(n)
+	// Over the common denominator L = d·(d+1)···2d: n·L·Davg = Σ_g T_g·(L/g).
+	l, num, w, x := big.NewInt(1), new(big.Int), new(big.Int), new(big.Int)
+	for g := d; g <= 2*d; g++ {
+		l.Mul(l, x.SetInt64(int64(g)))
+	}
+	for g := d; g <= 2*d; g++ {
+		var t uint64
+		for _, sums := range parts {
+			t += sums[g-d]
+		}
+		w.Quo(l, x.SetInt64(int64(g)))
+		num.Add(num, w.Mul(w, x.SetUint64(t)))
+	}
+	f, _ := new(big.Rat).SetFrac(num, l.Mul(l, x.SetUint64(n))).Float64()
+	return f
 }
 
 // NNAvgLowerBound returns the generalized Theorem 1 bound for rectangular
